@@ -40,6 +40,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseChain -fuzztime $(FUZZTIME) ./internal/kvcache
 	$(GO) test -run '^$$' -fuzz FuzzGlobalIndexDecode -fuzztime $(FUZZTIME) ./internal/kvcache
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotDecode -fuzztime $(FUZZTIME) ./internal/replica
+	$(GO) test -run '^$$' -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) ./internal/predictor
+	$(GO) test -run '^$$' -fuzz FuzzSortColumn -fuzztime $(FUZZTIME) ./internal/predictor
 
 # Static analysis gate: the repo's own contract analyzers (determinism,
 # hot-path allocation, trace hooks, guarded fields, atomic-field
@@ -72,14 +74,19 @@ lint:
 	fi
 
 # The pre-merge gate CI runs: static checks, the full suite (seed corpora
-# and chaos scenarios included) under the race detector, a short fuzzing
-# pass, then the short benchmark pass. The allocation guards
-# (TestPlanBatchSteadyStateAllocFree, TestForestPredictAllocFree) run as
-# ordinary tests, so an alloc regression on the plan path fails the gate.
+# and chaos scenarios included) under the race detector, the benchmark
+# module's own vet and tests (perfbench/ is a separate Go module, so
+# ./... at the root does not reach it), a short fuzzing pass, then the
+# short benchmark pass. The allocation guards
+# (TestPlanBatchSteadyStateAllocFree, TestForestPredictAllocFree,
+# TestTrainAllocCeiling) run as ordinary tests, so an alloc regression on
+# the plan path or in forest training fails the gate.
 verify:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 	$(MAKE) fuzz
 	$(MAKE) bench-short
 	$(MAKE) bench-gate

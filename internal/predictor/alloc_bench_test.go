@@ -48,3 +48,24 @@ func BenchmarkChunkBudgetFeats(b *testing.B) {
 		ChunkBudgetFeats(f, decode, 2048, budget, 2500)
 	}
 }
+
+// TestTrainAllocCeiling caps forest training's allocations. Growth reuses
+// one set of scratch buffers for every node of every tree, so a default
+// 20-tree forest costs about 70 allocations — the column view, the
+// scratch, the PRNG, and each finished tree's node slice — where the
+// sort.Slice trainer it replaced made about 61,700. A per-node allocation
+// creeping back in would add thousands.
+func TestTrainAllocCeiling(t *testing.T) {
+	samples, err := profile.Collect(model.Llama3_8B_A100_TP1(), profile.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 100
+	if avg := testing.AllocsPerRun(3, func() {
+		if _, err := Train(samples, ForestConfig{Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > ceiling {
+		t.Errorf("Train allocates %.0f objects/run, want <= %d", avg, ceiling)
+	}
+}

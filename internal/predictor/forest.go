@@ -102,16 +102,24 @@ func Train(samples []profile.Sample, cfg ForestConfig) (*Forest, error) {
 	if perTree < 1 {
 		perTree = 1
 	}
+	g := newGrower(newTrainSet(samples), treeCfg, perTree)
+	var perm [profile.FeatureCount]int
+	g.pick = func(n int) []int {
+		// rng.Perm(profile.FeatureCount)[:n] without the allocation: the
+		// same Intn calls in the same order, so the stream is unchanged.
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
+		return perm[:n]
+	}
+	idx := make([]int, perTree)
 	for t := 0; t < cfg.Trees; t++ {
-		idx := make([]int, perTree)
 		for i := range idx {
 			idx[i] = rng.Intn(len(samples))
 		}
-		pick := func(n int) []int {
-			perm := rng.Perm(profile.FeatureCount)
-			return perm[:n]
-		}
-		f.trees = append(f.trees, FitTree(samples, idx, treeCfg, pick))
+		f.trees = append(f.trees, g.fit(idx))
 	}
 	f.finalize()
 	return f, nil

@@ -270,6 +270,7 @@ func BenchmarkChunkBudget(b *testing.B) {
 }
 
 func BenchmarkTrainForest(b *testing.B) {
+	b.ReportAllocs()
 	mc := model.Llama3_8B_A100_TP1()
 	samples, err := profile.Collect(mc, profile.Config{Seed: 1})
 	if err != nil {

@@ -7,12 +7,25 @@
 // size": we implement this as a multiplicative safety margin applied to
 // predicted latencies before the budget comparison, so the chosen chunk is
 // conservative and TBT targets are never blown by prediction error.
+//
+// Training output is part of the repo's reproducible outcome: every
+// process that serves or simulates (qoserved, the experiments, the
+// benchmark) retrains the forest from a seeded profile at start-up, and
+// their results depend on every split, threshold and leaf. Train is
+// therefore exact, not approximate: the random stream is drawn in a fixed
+// order (bootstrap indices, then one rng.Perm-equivalent feature draw per
+// split), each node's column is sorted by sortColumn — a specialization
+// of the standard library's pdqsort that makes sort.Slice's comparisons
+// and swaps, so tied values land where sort.Slice puts them — and split
+// gains are float sums taken in that sorted order. Growth reuses one set
+// of scratch buffers for every node, partitioning each node's index list
+// stably in place. oracle_test.go holds the trainer's earlier, naive form
+// and requires Save() output identical to it.
 package predictor
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"qoserve/internal/profile"
 )
@@ -48,53 +61,92 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// trainSet is a column-oriented view of samples for efficient splitting.
+// trainSet is a column-oriented view of the samples: cols[f][i] is sample
+// i's value of feature f. Train builds it once per forest and every tree
+// and node reads it by sample index.
 type trainSet struct {
-	feats   [][profile.FeatureCount]float64
+	cols    [profile.FeatureCount][]float64
 	targets []float64
 }
 
-// FitTree grows a regression tree on the given sample indices. rng-like
-// feature subsetting is driven by the caller via cfg.FeatureSubset and
-// featOrder; passing nil featOrder uses all features.
-func FitTree(samples []profile.Sample, idx []int, cfg TreeConfig, featPick func(n int) []int) *Tree {
-	cfg = cfg.withDefaults()
-	ts := trainSet{
-		feats:   make([][profile.FeatureCount]float64, len(samples)),
-		targets: make([]float64, len(samples)),
+func newTrainSet(samples []profile.Sample) trainSet {
+	var ts trainSet
+	for f := range ts.cols {
+		ts.cols[f] = make([]float64, len(samples))
 	}
+	ts.targets = make([]float64, len(samples))
 	for i, s := range samples {
-		ts.feats[i] = s.Features
+		for f, v := range s.Features {
+			ts.cols[f][i] = v
+		}
 		ts.targets[i] = s.Latency
 	}
+	return ts
+}
+
+// grower grows trees over one trainSet. Its scratch buffers are sized for
+// the largest node (the root) once and reused by every node and tree, so
+// growth allocates only the finished trees' node slices.
+type grower struct {
+	ts  trainSet
+	cfg TreeConfig // with defaults applied
+
+	// pick draws the features one split considers; see features.
+	pick func(n int) []int
+
+	col   []colEntry // one node's (value, target) column under sort
+	spill []int      // right-hand side of a node's partition
+	nodes []treeNode // the tree being grown
+}
+
+func newGrower(ts trainSet, cfg TreeConfig, maxNode int) *grower {
+	return &grower{
+		ts:    ts,
+		cfg:   cfg.withDefaults(),
+		col:   make([]colEntry, maxNode),
+		spill: make([]int, 0, maxNode),
+	}
+}
+
+// FitTree grows a regression tree on the given sample indices (nil means
+// every sample). When 0 < cfg.FeatureSubset < profile.FeatureCount and
+// featPick is non-nil, each split considers only the features
+// featPick(cfg.FeatureSubset) returns; otherwise it considers all of them.
+func FitTree(samples []profile.Sample, idx []int, cfg TreeConfig, featPick func(n int) []int) *Tree {
 	if idx == nil {
 		idx = make([]int, len(samples))
 		for i := range idx {
 			idx[i] = i
 		}
+	} else {
+		idx = append([]int(nil), idx...) // fit partitions it in place
 	}
-	t := &Tree{}
-	t.grow(ts, idx, 0, cfg, featPick)
-	return t
+	g := newGrower(newTrainSet(samples), cfg, len(idx))
+	g.pick = featPick
+	return g.fit(idx)
+}
+
+// fit grows one tree over idx, which it reorders.
+func (g *grower) fit(idx []int) *Tree {
+	g.nodes = g.nodes[:0]
+	g.grow(idx, 0)
+	return &Tree{nodes: append([]treeNode(nil), g.nodes...)}
 }
 
 // grow recursively builds the subtree over idx and returns its node index.
-func (t *Tree) grow(ts trainSet, idx []int, depth int, cfg TreeConfig, featPick func(n int) []int) int32 {
-	self := int32(len(t.nodes))
-	t.nodes = append(t.nodes, treeNode{feature: -1, value: mean(ts.targets, idx)})
+// It reorders idx in place (see partition).
+func (g *grower) grow(idx []int, depth int) int32 {
+	cfg := g.cfg
+	self := int32(len(g.nodes))
+	g.nodes = append(g.nodes, treeNode{feature: -1, value: mean(g.ts.targets, idx)})
 
-	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf || constantTargets(ts.targets, idx) {
+	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf || constantTargets(g.ts.targets, idx) {
 		return self
 	}
 
-	feats := allFeatures()
-	if featPick != nil && cfg.FeatureSubset > 0 && cfg.FeatureSubset < profile.FeatureCount {
-		feats = featPick(cfg.FeatureSubset)
-	}
-
 	bestFeat, bestThresh, bestGain := -1, 0.0, 0.0
-	for _, f := range feats {
-		thresh, gain, ok := bestSplit(ts, idx, f, cfg.MinLeaf)
+	for _, f := range g.features() {
+		thresh, gain, ok := g.bestSplit(idx, f)
 		if ok && gain > bestGain {
 			bestFeat, bestThresh, bestGain = f, thresh, gain
 		}
@@ -103,50 +155,82 @@ func (t *Tree) grow(ts trainSet, idx []int, depth int, cfg TreeConfig, featPick 
 		return self
 	}
 
-	var left, right []int
-	for _, i := range idx {
-		if ts.feats[i][bestFeat] <= bestThresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
+	nl := g.partition(idx, bestFeat, bestThresh)
+	if nl < cfg.MinLeaf || len(idx)-nl < cfg.MinLeaf {
 		return self
 	}
 
-	l := t.grow(ts, left, depth+1, cfg, featPick)
-	r := t.grow(ts, right, depth+1, cfg, featPick)
-	t.nodes[self] = treeNode{feature: bestFeat, threshold: bestThresh, left: l, right: r}
+	l := g.grow(idx[:nl], depth+1)
+	r := g.grow(idx[nl:], depth+1)
+	g.nodes[self] = treeNode{feature: bestFeat, threshold: bestThresh, left: l, right: r}
 	return self
 }
 
-// bestSplit finds the threshold for feature f maximizing SSE reduction,
-// using the incremental sum trick over the sorted column.
-func bestSplit(ts trainSet, idx []int, f, minLeaf int) (thresh, gain float64, ok bool) {
-	order := make([]int, len(idx))
-	copy(order, idx)
-	sort.Slice(order, func(a, b int) bool {
-		return ts.feats[order[a]][f] < ts.feats[order[b]][f]
-	})
+// features returns the features one split considers: pick's draw when
+// 0 < cfg.FeatureSubset < profile.FeatureCount and pick is set, else all.
+func (g *grower) features() []int {
+	if n := g.cfg.FeatureSubset; g.pick != nil && n > 0 && n < profile.FeatureCount {
+		return g.pick(n)
+	}
+	return allFeatures[:]
+}
 
-	n := float64(len(order))
+// allFeatures lists every feature index. Read-only.
+var allFeatures = func() (all [profile.FeatureCount]int) {
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}()
+
+// partition stably moves the samples that go left under (f, thresh) to
+// the front of idx and returns how many there are.
+func (g *grower) partition(idx []int, f int, thresh float64) int {
+	col := g.ts.cols[f]
+	nl := 0
+	spill := g.spill[:0]
+	for _, i := range idx {
+		if col[i] <= thresh {
+			idx[nl] = i
+			nl++
+		} else {
+			spill = append(spill, i)
+		}
+	}
+	copy(idx[nl:], spill)
+	return nl
+}
+
+// bestSplit finds the threshold for feature f maximizing SSE reduction,
+// using the incremental sum trick over the sorted column. The column is
+// gathered in idx order and sorted by sortColumn, so the sums run over
+// exactly the order sort.Slice would give.
+func (g *grower) bestSplit(idx []int, f int) (thresh, gain float64, ok bool) {
+	vals, ys := g.ts.cols[f], g.ts.targets
+	col := g.col[:len(idx)]
+	for k, i := range idx {
+		col[k] = colEntry{v: vals[i], y: ys[i]}
+	}
+	sortColumn(col)
+
+	n := float64(len(col))
 	var total, totalSq float64
-	for _, i := range order {
-		y := ts.targets[i]
+	for _, e := range col {
+		y := e.y
 		total += y
 		totalSq += y * y
 	}
 	parentSSE := totalSq - total*total/n
 
+	minLeaf := g.cfg.MinLeaf
 	var leftSum, leftSq float64
 	bestGain := 0.0
-	for k := 0; k < len(order)-1; k++ {
-		y := ts.targets[order[k]]
+	for k := 0; k < len(col)-1; k++ {
+		y := col[k].y
 		leftSum += y
 		leftSq += y * y
 		// Can't split between equal feature values.
-		cur, next := ts.feats[order[k]][f], ts.feats[order[k+1]][f]
+		cur, next := col[k].v, col[k+1].v
 		if cur == next {
 			continue
 		}
@@ -158,8 +242,8 @@ func bestSplit(ts trainSet, idx []int, f, minLeaf int) (thresh, gain float64, ok
 		rightSum := total - leftSum
 		rightSq := totalSq - leftSq
 		sse := (leftSq - leftSum*leftSum/nl) + (rightSq - rightSum*rightSum/nr)
-		if g := parentSSE - sse; g > bestGain {
-			bestGain = g
+		if d := parentSSE - sse; d > bestGain {
+			bestGain = d
 			thresh = (cur + next) / 2
 			ok = true
 		}
@@ -220,14 +304,6 @@ func constantTargets(y []float64, idx []int) bool {
 		}
 	}
 	return true
-}
-
-func allFeatures() []int {
-	f := make([]int, profile.FeatureCount)
-	for i := range f {
-		f[i] = i
-	}
-	return f
 }
 
 // String summarizes the tree.

@@ -122,3 +122,47 @@ func TestGatewayTruncatesOverlongChain(t *testing.T) {
 		t.Fatalf("replay hit %d tokens, want 64", kv.PrefixHitTokens)
 	}
 }
+
+// Submission must not wait on any replica's prefix-cache lock: a serving
+// loop holds kvMu while it pins prefixes or republishes its global-index
+// snapshot, and a submitter that needs only the (immutable) block size
+// has no business queueing behind that. The test holds replica 0's kvMu
+// across a burst of submissions routed to both replicas.
+func TestSubmitDoesNotTakeReplicaCacheLock(t *testing.T) {
+	srv := newPrefixServer(t, 2, &cluster.AtomicRoundRobin{})
+	prompt := 600
+	chain := kvcache.SyntheticChain(5, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens)+3)
+
+	srv.reps[0].kvMu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			srv.reps[0].kvMu.Unlock()
+		}
+	}()
+	streams := make(chan []*Stream, 1)
+	go func() {
+		var out []*Stream
+		for i := 0; i < 4; i++ {
+			st, err := srv.Submit(Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 2, PrefixHashes: chain})
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			out = append(out, st)
+		}
+		streams <- out
+	}()
+	var got []*Stream
+	select {
+	case got = <-streams:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit blocked while replica 0's kvMu was held")
+	}
+	srv.reps[0].kvMu.Unlock()
+	locked = false
+	for _, st := range got {
+		for range st.Events {
+		}
+	}
+}

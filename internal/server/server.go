@@ -258,6 +258,10 @@ type Server struct {
 	// xferBytesPerToken is the served model's KV footprint per token,
 	// cached for transfer pricing. Immutable after New.
 	xferBytesPerToken float64
+	// kvBlockTokens is the prefix-cache block size every replica shares,
+	// read once so submissions never take a replica's kvMu for it.
+	// Immutable after New.
+	kvBlockTokens int
 
 	prefixTransferTokens atomic.Uint64 // hit tokens imported across replicas
 	transferFallbacks    atomic.Uint64 // planned imports abandoned at admission
@@ -581,6 +585,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.kvBlockTokens = kv.BlockTokens() // the same kvCfg for every replica
 		rp := &gatewayReplica{
 			srv:       s,
 			idx:       i,
@@ -669,7 +674,7 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 	}
 
 	chain := sub.PrefixHashes
-	if max := kvcache.ChainBlocks(sub.PromptTokens, s.reps[0].kvBlockTokens()); len(chain) > max {
+	if max := kvcache.ChainBlocks(sub.PromptTokens, s.kvBlockTokens); len(chain) > max {
 		chain = chain[:max]
 	}
 	req := s.newRequest()
@@ -867,13 +872,6 @@ func (rp *gatewayReplica) publishIndexLocked() {
 		rp.srv.prefixIdx.Publish(rp.idx, rp.kv.ExportIndex())
 		rp.idxVersion = v
 	}
-}
-
-// kvBlockTokens reads the cache block size (immutable after New).
-func (rp *gatewayReplica) kvBlockTokens() int {
-	rp.kvMu.Lock()
-	defer rp.kvMu.Unlock()
-	return rp.kv.BlockTokens()
 }
 
 // run is one replica's serving iteration cycle.
