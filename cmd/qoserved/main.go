@@ -70,7 +70,6 @@ func main() {
 		xferGbps   = flag.Float64("transfer-gbps", 0, "disagg prefill->decode KV interconnect (GB/s); 0 means 64 (NVLink-class)")
 		balancer   = flag.String("balancer", "round-robin", "replica routing: round-robin | least-loaded | prefix | predicted")
 		streamBuf  = flag.Int("stream-buffer", 256, "per-stream event buffer (events); slow consumers drop overflow")
-		eventFrame = flag.Int("event-frame", 16, "coalesce each iteration's tokens into pooled frames of up to this many events; 0 reverts to per-token channel delivery")
 		prefixMin  = flag.Int("prefix-min-match", cluster.DefaultMinMatchTokens, "smallest cached-prefix match (tokens) the prefix balancer chases")
 		kvDRAM     = flag.Int("kv-dram-tokens", 0, "DRAM spill tier per replica (tokens); 0 evicts demoted prefix blocks outright")
 		prefixIdx  = flag.Bool("prefix-global", true, "publish prefix-cache membership into a lock-free global index for routing probes")
@@ -165,7 +164,6 @@ func main() {
 		GlobalPrefixIndex:   *prefixIdx,
 		KVTransferBandwidth: *kvXferGbps * 1e9,
 		StreamBuffer:        *streamBuf,
-		EventFrame:          *eventFrame,
 		Classes:             qos.Table3(),
 		Timescale:           *timescale,
 		TraceDepth:          *traceDepth,

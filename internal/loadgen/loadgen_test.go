@@ -128,44 +128,34 @@ func TestClosedLoopReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFrameDeliveryEquivalence replays the same seeded workload against an
-// unbatched gateway (per-token channels) and a batched-frame gateway
-// (server.Config.EventFrame) and requires the deterministic tallies to be
-// identical: frame coalescing changes how events travel, never which
-// requests complete, violate, or relegate.
+// TestFrameDeliveryEquivalence replays the seeded closed-loop workload and
+// requires exactly the tallies the gateway produced when it still
+// delivered each token over its own channel: event frames change how
+// events travel, never which requests complete, violate, or relegate.
 func TestFrameDeliveryEquivalence(t *testing.T) {
 	spec := testSpec(Closed)
-	run := func(eventFrame int) Report {
-		srv, err := server.New(server.Config{
-			Model:            model.Llama3_8B_A100_TP1(),
-			SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
-			Replicas:         2,
-			Classes:          qos.Table3(),
-			Timescale:        200,
-			EventFrame:       eventFrame,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		rep, err := Run(context.Background(), srv, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	rep, err := Run(context.Background(), newGateway(t, 2), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, framed := run(0), run(4)
-	if plain.Completed != spec.Requests || plain.Errors != 0 {
-		t.Fatalf("unbatched run: completed %d of %d, %d errors", plain.Completed, spec.Requests, plain.Errors)
+	// Pinned from the per-token-channel gateway on this spec.
+	want := Report{
+		Completed: 60,
+		Tokens:    25430,
+		PerClass: []ClassReport{
+			{Name: "Q1", Completed: 30},
+			{Name: "Q2", Completed: 15},
+			{Name: "Q3", Completed: 15},
+		},
 	}
-	if framed.Completed != plain.Completed || framed.Violated != plain.Violated ||
-		framed.Relegated != plain.Relegated || framed.Tokens != plain.Tokens {
-		t.Fatalf("delivery modes diverged: unbatched completed=%d violated=%d relegated=%d tokens=%d, batched completed=%d violated=%d relegated=%d tokens=%d",
-			plain.Completed, plain.Violated, plain.Relegated, plain.Tokens,
-			framed.Completed, framed.Violated, framed.Relegated, framed.Tokens)
+	if rep.Completed != want.Completed || rep.Errors != 0 || rep.Violated != want.Violated ||
+		rep.Relegated != want.Relegated || rep.Tokens != want.Tokens {
+		t.Fatalf("tallies diverged from the pinned per-token run: completed=%d errors=%d violated=%d relegated=%d tokens=%d, want completed=%d errors=0 violated=%d relegated=%d tokens=%d",
+			rep.Completed, rep.Errors, rep.Violated, rep.Relegated, rep.Tokens,
+			want.Completed, want.Violated, want.Relegated, want.Tokens)
 	}
-	if !reflect.DeepEqual(plain.PerClass, framed.PerClass) {
-		t.Fatalf("per-class tallies diverged: unbatched %+v, batched %+v", plain.PerClass, framed.PerClass)
+	if !reflect.DeepEqual(rep.PerClass, want.PerClass) {
+		t.Fatalf("per-class tallies = %+v, want %+v", rep.PerClass, want.PerClass)
 	}
 }
 

@@ -99,19 +99,35 @@ func NewSummary(reqs []*request.Request, end sim.Time, replicas int) *Summary {
 	return s
 }
 
-// MixedSummary builds a summary from already-frozen outcomes of finished
-// requests plus a snapshot of still-live ones. The serving gateway keeps a
-// ledger of finished outcomes (so finished request objects can be pooled
-// and reused) and passes its live set separately; both views land in one
-// Outcomes slice, ordered finished-first.
-func MixedSummary(done []Outcome, live []*request.Request, end sim.Time, replicas int) *Summary {
-	s := &Summary{End: end, Replicas: replicas}
-	s.Outcomes = make([]Outcome, 0, len(done)+len(live))
-	s.Outcomes = append(s.Outcomes, done...)
-	for _, r := range live {
-		s.Outcomes = append(s.Outcomes, OutcomeOf(r, end))
+// Tally counts outcomes for request counts and violation rates without
+// keeping them, so a long-running server can drop outcomes it no longer
+// needs individually.
+type Tally struct {
+	Requests int
+	// Judged counts completed or violated outcomes: the ViolationRate
+	// denominator.
+	Judged   int
+	Violated int
+}
+
+// Add counts one outcome.
+func (t *Tally) Add(o Outcome) {
+	t.Requests++
+	if o.Completed || o.Violated {
+		t.Judged++
 	}
-	return s
+	if o.Violated {
+		t.Violated++
+	}
+}
+
+// ViolationRate is the fraction of judged outcomes that missed their SLO,
+// or 0 when none were judged.
+func (t Tally) ViolationRate() float64 {
+	if t.Judged == 0 {
+		return 0
+	}
+	return float64(t.Violated) / float64(t.Judged)
 }
 
 // Filter is a predicate over outcomes.
@@ -164,29 +180,22 @@ func (s *Summary) Count(f Filter) int {
 	return n
 }
 
+// Tally counts the outcomes matching f.
+func (s *Summary) Tally(f Filter) Tally {
+	var t Tally
+	for _, o := range s.Outcomes {
+		if f(o) {
+			t.Add(o)
+		}
+	}
+	return t
+}
+
 // ViolationRate is the fraction of matching requests that missed their SLO,
 // counting unfinished requests whose deadline has passed. Requests that are
 // merely truncated by end-of-run (deadline still in the future) are
 // excluded from the denominator. Returns 0 for an empty selection.
-func (s *Summary) ViolationRate(f Filter) float64 {
-	total, violated := 0, 0
-	for _, o := range s.Outcomes {
-		if !f(o) {
-			continue
-		}
-		if !o.Completed && !o.Violated {
-			continue // truncated, not yet judged
-		}
-		total++
-		if o.Violated {
-			violated++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(violated) / float64(total)
-}
+func (s *Summary) ViolationRate(f Filter) float64 { return s.Tally(f).ViolationRate() }
 
 // quantile returns the q-th quantile of a sorted slice using nearest-rank
 // on the continuous index (linear interpolation).

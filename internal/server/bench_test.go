@@ -14,14 +14,19 @@ import (
 )
 
 // fanoutFixture builds a stopped single-replica server with a registered
-// decode-phase batch, so completeLocked+flush — the steady-state per-token
-// serve path — can be driven directly without the serving loop racing.
-func fanoutFixture(tb testing.TB, streamBuf int) (*gatewayReplica, sched.Batch) {
+// decode-phase batch, so completeLocked+ensureSpares+flushFrames — the
+// steady-state serve path — can be driven directly without the serving
+// loop racing. Nothing consumes the streams: their 2-frame channels fill
+// after two iterations, and from then on each 4-event staged frame fills
+// and drops.
+func fanoutFixture(tb testing.TB) (*gatewayReplica, sched.Batch) {
 	tb.Helper()
 	srv, err := New(Config{
-		Model:     model.Llama3_8B_A100_TP1(),
-		Scheduler: &untraceable{},
-		Classes:   qos.Table3(),
+		Model:        model.Llama3_8B_A100_TP1(),
+		Scheduler:    &untraceable{},
+		Classes:      qos.Table3(),
+		StreamBuffer: 8,
+		EventFrame:   4,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -44,29 +49,42 @@ func fanoutFixture(tb testing.TB, streamBuf int) (*gatewayReplica, sched.Batch) 
 			FirstTokenAt:    sim.Millisecond,
 			LastTokenAt:     sim.Millisecond,
 		}
-		rp.streams[r.ID] = &streamEntry{id: r.ID, req: r, events: make(chan Event, streamBuf)}
+		e := srv.newEntry()
+		e.id, e.req, e.staged = r.ID, r, srv.newFrame()
+		rp.streams[r.ID] = e
 		batch.Decodes = append(batch.Decodes, r)
 	}
 	return rp, batch
 }
 
+// fanoutStep runs one iteration of the fixture's serve path.
+func fanoutStep(rp *gatewayReplica, batch sched.Batch, exec, end sim.Time) {
+	rp.mu.Lock()
+	rp.completeLocked(batch, exec, end)
+	rp.mu.Unlock()
+	rp.ensureSpares()
+	rp.flushFrames()
+}
+
 // TestServeSteadyStateAllocFree guards the live serving path the same way
 // TestPlanBatchSteadyStateAllocFree guards the simulator: per-iteration
-// accounting, histogram update, event staging, and stream fan-out
-// (including the overflow-drop path once the 4-event buffers fill) must
-// allocate nothing.
+// accounting, histogram update, event staging, and frame fan-out
+// (including the overflow-drop path once the frame channels and staged
+// frames fill) must allocate nothing.
 func TestServeSteadyStateAllocFree(t *testing.T) {
-	rp, batch := fanoutFixture(t, 4)
+	rp, batch := fanoutFixture(t)
 	exec := 5 * sim.Millisecond
 	end := sim.Second
 	step := func() {
 		end += exec
-		rp.mu.Lock()
-		rp.completeLocked(batch, exec, end)
-		rp.mu.Unlock()
-		rp.flush()
+		fanoutStep(rp, batch, exec, end)
 	}
-	step() // warm the outbox and histogram before measuring
+	// Warm the histogram and fill the frame channels (the sends before
+	// they fill take spare frames, which ensureSpares replaces) before
+	// measuring.
+	for i := 0; i < 8; i++ {
+		step()
+	}
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("steady-state serve path allocates %.1f times per iteration, want 0", allocs)
 	}
@@ -75,21 +93,18 @@ func TestServeSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkTokenFanout measures one iteration of the per-token serve path:
-// accounting + event staging under the scheduler lock, then fan-out to 8
-// streams.
+// BenchmarkTokenFanout measures one iteration of the serve path:
+// accounting + event staging under the scheduler lock, then frame fan-out
+// to 8 streams.
 func BenchmarkTokenFanout(b *testing.B) {
-	rp, batch := fanoutFixture(b, 4)
+	rp, batch := fanoutFixture(b)
 	exec := 5 * sim.Millisecond
 	end := sim.Second
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		end += exec
-		rp.mu.Lock()
-		rp.completeLocked(batch, exec, end)
-		rp.mu.Unlock()
-		rp.flush()
+		fanoutStep(rp, batch, exec, end)
 	}
 }
 
@@ -122,8 +137,7 @@ func benchGatewayContended(b *testing.B, replicas int) {
 				b.Error(err)
 				return
 			}
-			for range stream.Events {
-			}
+			drain(stream)
 		}
 	})
 	b.StopTimer()
@@ -134,15 +148,13 @@ func BenchmarkGatewayContendedReplicas1(b *testing.B) { benchGatewayContended(b,
 func BenchmarkGatewayContendedReplicas4(b *testing.B) { benchGatewayContended(b, 4) }
 func BenchmarkGatewayContendedReplicas8(b *testing.B) { benchGatewayContended(b, 8) }
 
-// benchGatewayTokenPath is the PR 10 before/after pair: the same contended
-// closed-loop workload as benchGatewayContended, but submitted through the
-// pooled SubmitTo entry point with per-goroutine Stream reuse, drained via
-// Recv (which works in both delivery modes), and instrumented with
-// allocs/op plus TTFT quantiles. eventFrame == 0 is the PR 8
-// configuration (per-token channels, fresh request/entry/channel per
-// submission); eventFrame > 0 exercises the batched-frame path where the
-// request, stream entry, and frames all recycle through free lists.
-func benchGatewayTokenPath(b *testing.B, replicas, eventFrame int) {
+// benchGatewayTokenPath is the token-path benchmark BENCH_PR10.json gates:
+// the same contended closed-loop workload as benchGatewayContended, but
+// submitted through the pooled SubmitTo entry point with per-goroutine
+// Stream reuse, drained via Recv, and instrumented with allocs/op plus
+// TTFT quantiles. The request, stream entry, and frames all recycle
+// through free lists, so a warm run allocates nothing per request.
+func benchGatewayTokenPath(b *testing.B, replicas int) {
 	srv, err := New(Config{
 		Model:            model.Llama3_8B_A100_TP1(),
 		SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
@@ -150,7 +162,7 @@ func benchGatewayTokenPath(b *testing.B, replicas, eventFrame int) {
 		Classes:          qos.Table3(),
 		Timescale:        200,
 		StreamBuffer:     8,
-		EventFrame:       eventFrame,
+		EventFrame:       16,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -200,5 +212,4 @@ func benchQuantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-func BenchmarkGatewayUnbatchedReplicas8(b *testing.B) { benchGatewayTokenPath(b, 8, 0) }
-func BenchmarkGatewayFrameReplicas8(b *testing.B)     { benchGatewayTokenPath(b, 8, 16) }
+func BenchmarkGatewayFrameReplicas8(b *testing.B) { benchGatewayTokenPath(b, 8) }

@@ -73,13 +73,10 @@ func TestChaosPrefillCrashMidTransferNoSilentDrop(t *testing.T) {
 		wg.Add(1)
 		go func(i int, st *Stream) {
 			defer wg.Done()
-			for ev := range st.Events {
-				outcomes[i].tokens = ev.Token
-				if ev.Done {
-					outcomes[i].gotDone = true
-				}
-			}
-			outcomes[i].failed = st.req.FailedReason
+			_, last := drain(st)
+			outcomes[i].tokens = last.Token
+			outcomes[i].gotDone = last.Done
+			outcomes[i].failed = st.Result().Failed
 		}(i, st)
 	}
 	done := make(chan struct{})
@@ -158,12 +155,9 @@ func TestChaosCrashFailsOverToHealthyPrefillReplica(t *testing.T) {
 		wg.Add(1)
 		go func(st *Stream) {
 			defer wg.Done()
-			last := Event{}
-			for ev := range st.Events {
-				last = ev
-			}
+			_, last := drain(st)
 			switch {
-			case st.req.FailedReason != "":
+			case st.Result().Failed != "":
 				failed.Add(1)
 			case last.Done && last.Token == 3:
 				completed.Add(1)
@@ -200,11 +194,7 @@ func TestChaosCrashFailsOverToHealthyPrefillReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := Event{}
-	for ev := range st.Events {
-		last = ev
-	}
-	if !last.Done || last.Token != 2 {
+	if _, last := drain(st); !last.Done || last.Token != 2 {
 		t.Fatalf("post-crash submission did not complete: %+v", last)
 	}
 }

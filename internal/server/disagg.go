@@ -113,14 +113,7 @@ func (s *Server) submitDisagg(req *request.Request, entry *streamEntry, st *Stre
 		return ErrNoHealthyReplica
 	}
 	s.accepted.Add(1)
-	*st = Stream{ID: id, srv: s}
-	if entry.frames != nil {
-		st.entry = entry
-	} else {
-		st.Events = entry.events
-		st.req = req
-		st.rep = s.reps[home]
-	}
+	*st = Stream{ID: id, srv: s, entry: entry}
 	return nil
 }
 
@@ -213,9 +206,10 @@ func (s *Server) enqueuePrefill(h pendingHandoff) bool {
 }
 
 // launchHandoffs starts the KV transfer for every clone that finished
-// prefill this iteration. Runs on the prefill loop goroutine after flush;
-// the transfer is a virtual-time delay (KV bytes / interconnect
-// bandwidth), after which the original request arrives at its decode home.
+// prefill this iteration. Runs on the prefill loop goroutine after
+// finishIteration; the transfer is a virtual-time delay (KV bytes /
+// interconnect bandwidth), after which the original request arrives at
+// its decode home.
 func (rp *gatewayReplica) launchHandoffs() {
 	srv := rp.srv
 	for _, h := range rp.handoffQ {
@@ -265,7 +259,7 @@ func (s *Server) deliverHandoff(src *gatewayReplica, h pendingHandoff) {
 // replica, or permanently fails it once the retry budget is exhausted or
 // no healthy replica remains. The original request's state is reset under
 // its decode home's lock — the home loop has never seen the request, so
-// that lock only fences concurrent Stream.Result readers.
+// that lock only fences the metrics scanners reading the live set.
 func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 	home := s.reps[h.home]
 	home.mu.Lock()
@@ -288,8 +282,8 @@ func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 // failure as an SLO violation) so no consumer is left hanging and no
 // request is silently dropped. The outcome is frozen into the finished
 // ledger before the final event ships, exactly like sendFinalFrame; the
-// request object itself is not recycled (the consumer's Stream may still
-// reference it), it just leaves the live set.
+// request object itself is left to the garbage collector (failure is a
+// cold path, and its prefill clones share its prefix-hash storage).
 //
 //qoserve:outcome complete
 func (s *Server) failRequest(h pendingHandoff, reason string) {
@@ -299,57 +293,37 @@ func (s *Server) failRequest(h pendingHandoff, reason string) {
 	home.mu.Unlock()
 	s.failedReqs.Add(1)
 	end := s.vnow()
-	final := Event{Token: h.orig.DecodedTokens, At: end.Duration(), Done: true}
 	e := h.entry
 	s.finMu.Lock()
 	e.res = resultOf(h.orig, end)
 	delete(s.live, h.orig.ID)
-	s.doneOut = append(s.doneOut, metrics.OutcomeOf(h.orig, end))
+	s.ledger.add(metrics.OutcomeOf(h.orig, end), end)
 	s.finMu.Unlock()
 	e.req = nil
-	if e.frames != nil {
-		// No serving loop ever registered this entry, so its staged frame
-		// was never queued: recycle it and ship the final event in a fresh
-		// frame, evicting stale frames until it fits (this goroutine is the
-		// only sender).
-		if e.staged != nil {
-			s.recycleFrame(e.staged)
-			e.staged = nil
-		}
-		f := append(s.newFrame(), final)
-		for {
-			select {
-			case e.frames <- f:
-				home.load.Add(-1)
-				if s.inFlight.Add(-1) == 0 {
-					s.kickDrain()
-				}
-				return
-			default:
-			}
-			select {
-			case old := <-e.frames:
-				s.droppedEvents.Add(uint64(len(old)))
-				s.recycleFrame(old)
-			default:
-			}
-		}
+	// No serving loop ever registered this entry, so its staged frame was
+	// never queued: recycle it and ship the final event in a fresh frame,
+	// evicting stale frames until it fits (this goroutine is the only
+	// sender).
+	if e.staged != nil {
+		s.recycleFrame(e.staged)
+		e.staged = nil
 	}
-	// Unbatched: evict stale events until the final one fits, then close.
+	// Retired before the final frame ships, as in flushFrames.
+	home.load.Add(-1)
+	if s.inFlight.Add(-1) == 0 {
+		s.kickDrain()
+	}
+	f := append(s.newFrame(), Event{Token: h.orig.DecodedTokens, At: end.Duration(), Done: true})
 	for {
 		select {
-		case e.events <- final:
-			close(e.events)
-			home.load.Add(-1)
-			if s.inFlight.Add(-1) == 0 {
-				s.kickDrain()
-			}
+		case e.frames <- f:
 			return
 		default:
 		}
 		select {
-		case <-e.events:
-			s.droppedEvents.Add(1)
+		case old := <-e.frames:
+			s.droppedEvents.Add(uint64(len(old)))
+			s.recycleFrame(old)
 		default:
 		}
 	}
@@ -436,7 +410,7 @@ func (rp *gatewayReplica) runDecode() {
 		rp.mu.Unlock()
 
 		// Compact before finishIteration: it reads each request's phase,
-		// and finalizeDone may recycle finished requests (batched mode).
+		// and finalizeDone recycles finished requests.
 		keep := rp.decQ[:0]
 		for _, r := range rp.decQ {
 			if r.Phase() != request.Done {

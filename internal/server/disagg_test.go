@@ -95,11 +95,7 @@ func TestDisaggCompletesAllRequests(t *testing.T) {
 				errs <- err
 				return
 			}
-			last := Event{}
-			for ev := range stream.Events {
-				last = ev
-			}
-			if !last.Done || last.Token != 6 {
+			if _, last := drain(stream); !last.Done || last.Token != 6 {
 				errs <- context.DeadlineExceeded
 			}
 		}()
@@ -160,10 +156,8 @@ func TestDisaggPrefillTierPreemptsLongPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range short.Events {
-	}
-	for range giant.Events {
-	}
+	drain(short)
+	drain(giant)
 	sres, gres := short.Result(), giant.Result()
 	if sres.TTLT >= gres.TTFT {
 		t.Fatalf("short request did not overtake the giant prefill: short TTLT %v, giant TTFT %v", sres.TTLT, gres.TTFT)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"qoserve/internal/metrics"
 	"qoserve/internal/model"
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
@@ -14,44 +13,20 @@ import (
 	"qoserve/internal/sim"
 )
 
-// newFrameServer is newTestServer with batched event frames enabled.
-func newFrameServer(t *testing.T, s sched.Scheduler, frame int) *Server {
-	t.Helper()
-	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  s,
-		Classes:    qos.Table3(),
-		Timescale:  2000,
-		EventFrame: frame,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestFrameStreamsTokens is TestServerStreamsTokens under batched
-// delivery: a tiny frame size forces multi-frame streams, and the Recv
-// contract (every token observed or dropped-with-skips, final Done always
-// last, frozen Result afterwards) must hold exactly as in unbatched mode.
+// TestFrameStreamsTokens is TestServerStreamsTokens with a tiny frame
+// size that forces multi-frame streams: the Recv contract (every token
+// observed or dropped-with-skips, final Done always last, frozen Result
+// afterwards) must hold across frame boundaries.
 func TestFrameStreamsTokens(t *testing.T) {
 	srv := newFrameServer(t, qoserveSched(), 2)
 	var stream Stream
 	if err := srv.SubmitTo(Submission{Class: "Q1", PromptTokens: 500, DecodeTokens: 5}, &stream); err != nil {
 		t.Fatal(err)
 	}
-	if stream.Events != nil {
-		t.Fatal("batched stream exposes an Events channel")
+	if stream.Result() != (Result{}) {
+		t.Fatal("Result is set before the Done event")
 	}
-	var events []Event
-	for {
-		ev, ok := stream.Recv()
-		if !ok {
-			break
-		}
-		events = append(events, ev)
-	}
+	events, _ := drain(&stream)
 	if len(events) == 0 {
 		t.Fatal("no events received")
 	}
@@ -80,9 +55,9 @@ func TestFrameStreamsTokens(t *testing.T) {
 	}
 }
 
-// TestFrameConcurrentClients drives many concurrent batched streams and
-// checks the ledger: every request completes, Drain returns promptly, and
-// the accepted/pending counters and the metrics summary agree.
+// TestFrameConcurrentClients drives many concurrent streams and checks the
+// ledger: every request completes, Drain returns promptly, and the
+// accepted/pending counters and the outcome tallies agree.
 func TestFrameConcurrentClients(t *testing.T) {
 	srv := newFrameServer(t, qoserveSched(), 4)
 	const clients = 20
@@ -98,15 +73,7 @@ func TestFrameConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			last := Event{}
-			for {
-				ev, ok := stream.Recv()
-				if !ok {
-					break
-				}
-				last = ev
-			}
-			if !last.Done || last.Token != 4 {
+			if _, last := drain(stream); !last.Done || last.Token != 4 {
 				errs <- context.DeadlineExceeded
 			}
 		}()
@@ -125,22 +92,17 @@ func TestFrameConcurrentClients(t *testing.T) {
 	if st.Served != clients || st.Pending != 0 || st.Tokens == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	sum := srv.summary(srv.vnow())
-	if len(sum.Outcomes) != clients {
-		t.Fatalf("summary holds %d outcomes, want %d", len(sum.Outcomes), clients)
-	}
-	for _, o := range sum.Outcomes {
-		if !o.Completed {
-			t.Fatalf("outcome %d not completed: %+v", o.ID, o)
-		}
+	if tally := srv.outcomes(srv.vnow()).total(); tally.Requests != clients || tally.Judged != clients {
+		t.Fatalf("outcome tally = %+v, want %d requests, all judged", tally, clients)
 	}
 }
 
-// TestFrameFinalEventIdentity submits the same workload to an unbatched
-// and a batched gateway and checks that every stream's final event is
-// identical in both modes (token index and Done flag; timing is
-// wall-clock-dependent and excluded). This is the delivery-equivalence
-// half of the seeded-replay test in internal/loadgen.
+// TestFrameFinalEventIdentity submits the same workload to a gateway that
+// ships every token in its own frame and to one that coalesces up to three,
+// and checks that every stream's final event is identical under both
+// (token index and Done flag; timing is wall-clock-dependent and
+// excluded): the frame size changes how events travel, never what a
+// stream ends with.
 func TestFrameFinalEventIdentity(t *testing.T) {
 	specs := []struct {
 		class          string
@@ -149,22 +111,8 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 		{"Q1", 500, 5}, {"Q2", 900, 3}, {"Q3", 1400, 8},
 		{"Q1", 200, 1}, {"Q2", 4000, 2}, {"Q3", 300, 6},
 	}
-	finals := func(batched bool) []Event {
-		frame := 0
-		if batched {
-			frame = 3
-		}
-		srv, err := New(Config{
-			Model:      model.Llama3_8B_A100_TP1(),
-			Scheduler:  qoserveSched(),
-			Classes:    qos.Table3(),
-			Timescale:  2000,
-			EventFrame: frame,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+	finals := func(frame int) []Event {
+		srv := newFrameServer(t, qoserveSched(), frame)
 		out := make([]Event, len(specs))
 		var wg sync.WaitGroup
 		for i, sp := range specs {
@@ -176,26 +124,20 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for {
-					ev, ok := stream.Recv()
-					if !ok {
-						break
-					}
-					out[i] = ev
-				}
+				_, out[i] = drain(stream)
 			}()
 		}
 		wg.Wait()
 		return out
 	}
-	plain, framed := finals(false), finals(true)
+	single, framed := finals(1), finals(3)
 	for i := range specs {
-		if !plain[i].Done || !framed[i].Done {
-			t.Fatalf("request %d missing Done: unbatched %+v, batched %+v", i, plain[i], framed[i])
+		if !single[i].Done || !framed[i].Done {
+			t.Fatalf("request %d missing Done: 1-event frames %+v, 3-event frames %+v", i, single[i], framed[i])
 		}
-		if plain[i].Token != framed[i].Token {
-			t.Errorf("request %d final token differs: unbatched %d, batched %d",
-				i, plain[i].Token, framed[i].Token)
+		if single[i].Token != framed[i].Token {
+			t.Errorf("request %d final token differs: 1-event frames %d, 3-event frames %d",
+				i, single[i].Token, framed[i].Token)
 		}
 		if framed[i].Token != specs[i].decode {
 			t.Errorf("request %d final token = %d, want %d", i, framed[i].Token, specs[i].decode)
@@ -203,7 +145,8 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 	}
 }
 
-// TestFrameConfigValidation covers the EventFrame/FrameBuffer knobs.
+// TestFrameConfigValidation covers the EventFrame/StreamBuffer knobs and
+// the frame-channel depth derived from them.
 func TestFrameConfigValidation(t *testing.T) {
 	base := Config{Model: model.Llama3_8B_A100_TP1(), Scheduler: &untraceable{}, Classes: qos.Table3()}
 
@@ -212,25 +155,23 @@ func TestFrameConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("negative EventFrame accepted")
 	}
-	cfg = base
-	cfg.FrameBuffer = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative FrameBuffer accepted")
-	}
-	cfg = base
-	cfg.FrameBuffer = 4
-	if _, err := New(cfg); err == nil {
-		t.Error("FrameBuffer without EventFrame accepted")
-	}
-	cfg = base
-	cfg.EventFrame = 16
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.frameBuf < 2 {
-		t.Errorf("derived frame buffer %d, want >= 2", srv.frameBuf)
+	for _, tc := range []struct{ streamBuf, frame, wantFrame, wantDepth int }{
+		{0, 0, 16, 16},   // defaults: 256 events in 16-event frames
+		{8, 0, 16, 2},    // the depth never drops below 2
+		{64, 4, 4, 16},   // explicit frame size
+		{100, 16, 16, 6}, // rounds down
+	} {
+		cfg = base
+		cfg.StreamBuffer, cfg.EventFrame = tc.streamBuf, tc.frame
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if srv.cfg.EventFrame != tc.wantFrame || srv.frameBuf != tc.wantDepth {
+			t.Errorf("StreamBuffer %d, EventFrame %d: frame %d, depth %d; want %d, %d",
+				tc.streamBuf, tc.frame, srv.cfg.EventFrame, srv.frameBuf, tc.wantFrame, tc.wantDepth)
+		}
 	}
 }
 
@@ -321,7 +262,7 @@ func (o *oneShot) OnBatchComplete(b sched.Batch, _ sim.Time) { o.n -= len(b.Pref
 func (o *oneShot) Pending() int                              { return o.n }
 
 // TestFrameSubmitRecvAllocFree extends the steady-state allocation guard
-// across the whole batched token path: SubmitTo with a recycled Stream,
+// across the whole token path: SubmitTo with a recycled Stream,
 // admission, planning, completion, outcome freezing, frame delivery, and
 // Recv must together allocate nothing once the pools are warm. The serving
 // loop runs concurrently and testing.AllocsPerRun counts global mallocs,
@@ -359,16 +300,7 @@ func TestFrameSubmitRecvAllocFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		step()
 	}
-	// The finished-outcome ledger grows forever by design; pre-grow it so
-	// its (amortized, cold) append is not charged to the steady state.
-	srv.finMu.Lock()
-	if need := len(srv.doneOut) + 512; cap(srv.doneOut) < need {
-		grown := make([]metrics.Outcome, len(srv.doneOut), need)
-		copy(grown, srv.doneOut)
-		srv.doneOut = grown
-	}
-	srv.finMu.Unlock()
 	if allocs := testing.AllocsPerRun(300, step); allocs != 0 {
-		t.Fatalf("batched submit+recv path allocates %.1f times per request, want 0", allocs)
+		t.Fatalf("submit+recv path allocates %.1f times per request, want 0", allocs)
 	}
 }

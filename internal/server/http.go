@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -234,7 +235,13 @@ func (s *Server) handleDebugLoad(w http.ResponseWriter, _ *http.Request) {
 // virtual time; everything else is lifetime.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	vnow := s.vnow()
-	sum := s.summary(vnow)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	s.writeMetrics(w, vnow, s.outcomes(vnow))
+}
+
+// writeMetrics renders the /metrics body at virtual time vnow from the
+// outcome view v and the live counters.
+func (s *Server) writeMetrics(w io.Writer, vnow sim.Time, v outcomeView) {
 	served := s.accepted.Load()
 	pending := int(s.inFlight.Load())
 	iterations, tokens := s.iterations.Load(), s.tokens.Load()
@@ -243,10 +250,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	queues := s.Queues()
 	cum, hsum, htotal := s.histSnapshot()
 	relegations, hasReleg := s.relegations()
+	recent := v.recent
 
-	recent := sum.Recent(sim.FromDuration(s.cfg.MetricsWindow))
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	p := promWriter{w}
 
 	p.header("qoserve_requests_total", "Requests accepted since start.", "counter")
@@ -262,7 +267,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.header("qoserve_decode_tokens_total", "Output tokens generated.", "counter")
 	p.intValue("qoserve_decode_tokens_total", "", decodeTokens)
 	p.header("qoserve_violation_ratio", "Lifetime SLO violation fraction.", "gauge")
-	p.value("qoserve_violation_ratio", "", sum.ViolationRate(metrics.All))
+	p.value("qoserve_violation_ratio", "", v.total().ViolationRate())
 	p.header("qoserve_virtual_seconds", "Virtual clock position.", "gauge")
 	p.value("qoserve_virtual_seconds", "", vnow.Seconds())
 	p.header("qoserve_stream_dropped_events_total", "Token events discarded on full stream buffers.", "counter")
@@ -408,7 +413,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.header("qoserve_class_requests_total", "Lifetime requests by class.", "counter")
 	for _, c := range s.cfg.Classes {
 		p.intValue("qoserve_class_requests_total",
-			fmt.Sprintf(`{class=%q}`, c.Name), uint64(sum.Count(metrics.ByClass(c.Name))))
+			fmt.Sprintf(`{class=%q}`, c.Name), uint64(v.lifetime[c.Name].Requests))
 	}
 }
 

@@ -25,7 +25,7 @@ func newTracedServer(t *testing.T, s sched.Scheduler, depth int) *Server {
 		Model:      model.Llama3_8B_A100_TP1(),
 		Scheduler:  s,
 		Classes:    qos.Table3(),
-		Timescale:  2000,
+		Timescale:  testTimescale,
 		TraceDepth: depth,
 	})
 	if err != nil {
@@ -33,17 +33,6 @@ func newTracedServer(t *testing.T, s sched.Scheduler, depth int) *Server {
 	}
 	t.Cleanup(srv.Close)
 	return srv
-}
-
-// serveOne submits a request and waits for its stream to finish.
-func serveOne(t *testing.T, srv *Server, sub Submission) {
-	t.Helper()
-	stream, err := srv.Submit(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range stream.Events {
-	}
 }
 
 // promLine matches one Prometheus text sample: name{labels} value.
@@ -144,7 +133,7 @@ func TestMetricsFaultStatus(t *testing.T) {
 		Model:     model.Llama3_8B_A100_TP1(),
 		Scheduler: qoserveSched(),
 		Classes:   qos.Table3(),
-		Timescale: 2000,
+		Timescale: testTimescale,
 		FaultStatus: func() FaultStatus {
 			return FaultStatus{
 				Replicas: []ReplicaHealth{

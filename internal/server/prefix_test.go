@@ -29,17 +29,6 @@ func newPrefixServer(t *testing.T, replicas int, lb cluster.GatewayBalancer) *Se
 	return srv
 }
 
-// drainStream consumes a stream to completion.
-func drainStream(t *testing.T, srv *Server, sub Submission) {
-	t.Helper()
-	stream, err := srv.Submit(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range stream.Events {
-	}
-}
-
 // A session's second turn must land on the replica that cached its first
 // turn's prefix and be served from cache — with four replicas a load-blind
 // balancer would usually route it elsewhere.
@@ -48,7 +37,7 @@ func TestGatewayPrefixAffinityRouting(t *testing.T) {
 
 	prompt := 600
 	chain := kvcache.SyntheticChain(11, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
 
 	kv := srv.KVStats()
 	if kv.PrefixHitTokens != 0 {
@@ -60,7 +49,7 @@ func TestGatewayPrefixAffinityRouting(t *testing.T) {
 	grown := 900
 	chain2 := kvcache.SyntheticChain(11, 0, kvcache.ChainBlocks(grown, kvcache.DefaultBlockTokens))
 	copy(chain2, chain)
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: grown, DecodeTokens: 4, PrefixHashes: chain2})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: grown, DecodeTokens: 4, PrefixHashes: chain2})
 
 	kv = srv.KVStats()
 	want := uint64(len(chain) * kvcache.DefaultBlockTokens)
@@ -83,19 +72,19 @@ func TestGatewayPrefixAffinityRouting(t *testing.T) {
 func TestGatewayPrefixDisjointSessions(t *testing.T) {
 	srv := newPrefixServer(t, 2, &cluster.PrefixAffinity{})
 
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3})
 
 	a := kvcache.SyntheticChain(1, 0, 12)
 	b := kvcache.SyntheticChain(2, 0, 12)
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3, PrefixHashes: a})
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3, PrefixHashes: b})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3, PrefixHashes: a})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3, PrefixHashes: b})
 
 	if kv := srv.KVStats(); kv.PrefixHitTokens != 0 {
 		t.Fatalf("disjoint sessions hit %d tokens", kv.PrefixHitTokens)
 	}
 
 	// Replaying session A is a full hit wherever it landed.
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3, PrefixHashes: a})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 300, DecodeTokens: 3, PrefixHashes: a})
 	kv := srv.KVStats()
 	if want := uint64(12 * kvcache.DefaultBlockTokens); kv.PrefixHitTokens != want {
 		t.Fatalf("replay hit %d tokens, want %d", kv.PrefixHitTokens, want)
@@ -109,7 +98,7 @@ func TestGatewayTruncatesOverlongChain(t *testing.T) {
 
 	// 10 blocks of chain for a 65-token prompt (4 shareable blocks).
 	chain := kvcache.SyntheticChain(3, 0, 10)
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: 65, DecodeTokens: 2, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 65, DecodeTokens: 2, PrefixHashes: chain})
 
 	kv := srv.KVStats()
 	if kv.CachedHBMBlocks != 4 {
@@ -117,7 +106,7 @@ func TestGatewayTruncatesOverlongChain(t *testing.T) {
 	}
 
 	// The full-prompt replay hits exactly the truncated prefix.
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: 65, DecodeTokens: 2, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 65, DecodeTokens: 2, PrefixHashes: chain})
 	if kv := srv.KVStats(); kv.PrefixHitTokens != 64 {
 		t.Fatalf("replay hit %d tokens, want 64", kv.PrefixHitTokens)
 	}
@@ -162,7 +151,6 @@ func TestSubmitDoesNotTakeReplicaCacheLock(t *testing.T) {
 	srv.reps[0].kvMu.Unlock()
 	locked = false
 	for _, st := range got {
-		for range st.Events {
-		}
+		drain(st)
 	}
 }

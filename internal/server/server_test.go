@@ -20,21 +20,60 @@ import (
 	"qoserve/internal/sched"
 )
 
-// newTestServer runs at 2000x so simulated seconds pass in milliseconds.
+// testTimescale is the shared test servers' virtual-time acceleration.
+// Every wall-clock stall of the serving loop (a loaded CI host, the race
+// detector) is multiplied by it in virtual time: at 50x a 50 ms stall
+// costs 2.5 s, well inside Q1's 6 s TTFT SLO, so SLO assertions do not
+// flake under load, while simulated seconds still pass in tens of
+// milliseconds.
+const testTimescale = 50
+
+// newTestServer runs one replica at testTimescale.
 func newTestServer(t *testing.T, s sched.Scheduler) *Server {
 	t.Helper()
-	mc := model.Llama3_8B_A100_TP1()
+	return newFrameServer(t, s, 0)
+}
+
+// newFrameServer is newTestServer with an explicit Config.EventFrame
+// (0 keeps the default).
+func newFrameServer(t *testing.T, s sched.Scheduler, frame int) *Server {
+	t.Helper()
 	srv, err := New(Config{
-		Model:     mc,
-		Scheduler: s,
-		Classes:   qos.Table3(),
-		Timescale: 2000,
+		Model:      model.Llama3_8B_A100_TP1(),
+		Scheduler:  s,
+		Classes:    qos.Table3(),
+		Timescale:  testTimescale,
+		EventFrame: frame,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// drain receives st to exhaustion, returning every event it delivered and
+// the last one (the Done event; zero if the stream delivered nothing).
+func drain(st *Stream) (evs []Event, last Event) {
+	for {
+		ev, ok := st.Recv()
+		if !ok {
+			return evs, last
+		}
+		evs = append(evs, ev)
+		last = ev
+	}
+}
+
+// serveOne submits a request and drains its stream.
+func serveOne(t *testing.T, srv *Server, sub Submission) *Stream {
+	t.Helper()
+	st, err := srv.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(st)
+	return st
 }
 
 func qoserveSched() sched.Scheduler {
@@ -48,10 +87,7 @@ func TestServerStreamsTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	for ev := range stream.Events {
-		events = append(events, ev)
-	}
+	events, _ := drain(stream)
 	if len(events) != 5 {
 		t.Fatalf("got %d events, want 5", len(events))
 	}
@@ -90,11 +126,7 @@ func TestServerConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			n := 0
-			for range stream.Events {
-				n++
-			}
-			if n != 4 {
+			if evs, _ := drain(stream); len(evs) != 4 {
 				errs <- context.DeadlineExceeded
 			}
 		}()
@@ -254,10 +286,8 @@ func TestServerQoSOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range urgent.Events {
-	}
-	for range batch.Events {
-	}
+	drain(urgent)
+	drain(batch)
 	if res := urgent.Result(); res.Violated {
 		t.Errorf("urgent request violated its TTFT behind a batch job: %+v", res)
 	}
@@ -269,12 +299,8 @@ func TestServerWithSarathiScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for range stream.Events {
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("got %d events", n)
+	if evs, _ := drain(stream); len(evs) != 3 {
+		t.Fatalf("got %d events", len(evs))
 	}
 }
 
@@ -284,12 +310,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	// Serve one request so counters move.
-	stream, err := srv.Submit(Submission{Class: "Q1", PromptTokens: 200, DecodeTokens: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range stream.Events {
-	}
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 200, DecodeTokens: 2})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -1,17 +1,14 @@
-// Stream delivery: per-stream gateway state, the batched event-frame path,
-// and the free lists that keep the steady state allocation-free.
+// Stream delivery: per-stream gateway state, event frames, and the
+// free lists that keep the steady state allocation-free.
 //
-// The gateway has two delivery modes. Unbatched (Config.EventFrame == 0,
-// the library default) sends each token on a per-request chan Event and
-// closes it after the final event — the original contract, kept verbatim
-// for existing consumers ranging over Stream.Events. Batched (EventFrame
-// > 0) coalesces every token a stream produced since its last delivery
-// into one []Event frame and sends that over a small chan []Event: the
-// per-token channel operations, consumer wakeups, and per-request channel
-// allocations collapse to one frame send per stream per iteration, and a
-// consumer that falls behind loses whole stale frames instead of stalling
-// the loop. Stream.Recv (and the HTTP layer) work identically in both
-// modes.
+// Every token a stream produced since its last delivery coalesces into one
+// []Event frame, sent over a small per-stream chan []Event: one channel
+// send and at most one consumer wakeup per stream per iteration, however
+// many tokens the iteration produced. A consumer that falls behind loses
+// whole stale frames (counted in droppedEvents) instead of stalling the
+// loop, and always receives the final frame carrying the Done event.
+// Consumers read tokens with Stream.Recv and the outcome with
+// Stream.Result.
 //
 // Pooling invariants (what makes recycling safe):
 //
@@ -23,7 +20,7 @@
 //   - entry.res is frozen before the final frame's send and read after
 //     its receive; the channel send is the happens-before edge.
 //   - A request.Request is recycled by the serving loop only after its
-//     outcome is frozen into Server.doneOut and it is deleted from the
+//     outcome is frozen into Server.ledger and it is deleted from the
 //     live table, all under finMu — the same lock the metrics scanners
 //     hold — so no reader can observe the reset.
 //   - Frames travel loop -> consumer -> framePool -> loop. A pool miss
@@ -60,18 +57,14 @@ const (
 )
 
 // streamEntry is one live stream's gateway-side state, keyed by request ID
-// in the replica's stream table. Exactly one of events (unbatched) and
-// frames (batched) is non-nil. staged, queued, and final are owned by the
+// in the replica's stream table. staged, queued, and final are owned by the
 // serving loop (written under mu by stageEvent, consumed lock-free by the
 // same goroutine in flushFrames); res is written by the loop before the
 // final frame is sent and read by the consumer after it is received.
 type streamEntry struct {
 	id  uint64
 	req *request.Request
-	// events is the unbatched per-token channel, closed after the final
-	// event.
-	events chan Event
-	// frames carries batched event frames. Never closed — pooled entries
+	// frames carries the stream's event frames. Never closed — pooled entries
 	// keep their channel, which is empty by construction once the final
 	// frame is consumed.
 	frames chan []Event
@@ -86,27 +79,19 @@ type streamEntry struct {
 	res Result
 }
 
-// Stream delivers a request's token events; create with Submit. In
-// unbatched mode Events carries one event per token — a consumer that
-// falls a full buffer behind loses intermediate events (the Token index
-// skips) but always receives the final Done event, after which the channel
-// is closed. In batched mode Events is nil and Recv must be used; the
-// drop contract is the same but applies to whole frames of stale events.
+// Stream delivers a request's token events; create with Submit or
+// SubmitTo and read with Recv. A consumer that falls a full frame buffer
+// behind loses intermediate events (the Token index skips) but always
+// receives the final Done event.
 type Stream struct {
 	ID uint64
-	// Events is the unbatched token channel; nil when the gateway runs
-	// batched event frames (Config.EventFrame > 0). Recv works in both
-	// modes.
-	Events <-chan Event
 
 	srv   *Server
-	entry *streamEntry // batched mode only
-	frame []Event      // frame being consumed
-	cur   int          // cursor into frame
+	entry *streamEntry
+	frame []Event // frame being consumed
+	cur   int     // cursor into frame
 	res   Result
 	done  bool
-	req   *request.Request // unbatched mode only
-	rep   *gatewayReplica  // unbatched mode only
 }
 
 // Result summarizes a finished request. Valid once the stream has ended
@@ -118,6 +103,10 @@ type Result struct {
 	MaxTBT   time.Duration
 	Violated bool
 	Releg    bool
+	// Failed is the reason the gateway permanently gave up on the request
+	// (see Server.Crash); empty for served requests, and a failed request
+	// is always Violated.
+	Failed string
 }
 
 // resultOf snapshots a request's stream-facing outcome as of end.
@@ -126,6 +115,7 @@ func resultOf(r *request.Request, end sim.Time) Result {
 		MaxTBT:   r.MaxTBT.Duration(),
 		Violated: r.ViolatedSLO(end),
 		Releg:    r.Relegated,
+		Failed:   r.FailedReason,
 	}
 	if ttft, ok := r.TTFT(); ok {
 		res.TTFT = ttft.Duration()
@@ -136,23 +126,13 @@ func resultOf(r *request.Request, end sim.Time) Result {
 	return res
 }
 
-// Result reports the request's outcome. In unbatched mode it reads the
-// live request as of now; in batched mode it returns the outcome frozen
-// when the request finished, and is zero until the Done event has been
-// received.
-func (s *Stream) Result() Result {
-	if s.req != nil {
-		s.rep.mu.Lock()
-		defer s.rep.mu.Unlock()
-		return resultOf(s.req, s.srv.vnow())
-	}
-	return s.res // batched: frozen at completion, zero before Done
-}
+// Result reports the request's outcome, frozen when the request finished;
+// it is zero until the Done event has been received.
+func (s *Stream) Result() Result { return s.res }
 
 // Recv returns the stream's next token event, blocking until one is
 // available; ok is false once the stream is exhausted (after the Done
-// event). It works in both delivery modes. A Stream must not be received
-// from concurrently.
+// event). A Stream must not be received from concurrently.
 func (s *Stream) Recv() (Event, bool) { return s.next(nil) }
 
 // next is Recv with an optional cancel channel (the HTTP handler passes
@@ -162,18 +142,6 @@ func (s *Stream) Recv() (Event, bool) { return s.next(nil) }
 func (s *Stream) next(cancel <-chan struct{}) (Event, bool) {
 	if s.done {
 		return Event{}, false
-	}
-	if s.entry == nil {
-		// Unbatched: the channel close is the exhaustion signal.
-		select {
-		case ev, ok := <-s.Events:
-			if !ok {
-				s.done = true
-			}
-			return ev, ok
-		case <-cancel:
-			return Event{}, false
-		}
 	}
 	for s.cur >= len(s.frame) {
 		if s.frame != nil {
@@ -202,9 +170,8 @@ func (s *Stream) next(cancel <-chan struct{}) (Event, bool) {
 	return ev, true
 }
 
-// Free-list pop/push helpers. The pools are nil in unbatched mode: a
-// select with a nil channel always takes default, so the helpers degrade
-// to plain allocation (and recycling becomes a no-op) without branching.
+// Free-list pop/push helpers: a pool miss allocates, and a full pool lets
+// the object fall to the garbage collector.
 
 // newRequest pops a pooled request or allocates one.
 func (s *Server) newRequest() *request.Request {
@@ -279,9 +246,6 @@ func (s *Server) recycleFrame(f []Event) {
 // releaseUnused returns a request and entry that never entered a serving
 // loop (admission rolled back) to their pools.
 func (s *Server) releaseUnused(req *request.Request, e *streamEntry) {
-	if e.frames == nil {
-		return // unbatched: nothing pooled
-	}
 	if e.staged != nil {
 		s.recycleFrame(e.staged)
 		e.staged = nil
@@ -334,16 +298,12 @@ func (rp *gatewayReplica) idleWait() {
 // finishIteration runs the post-mu phase of one serving iteration: batch
 // the iteration's prefix releases into one kvMu section, freeze finished
 // requests' outcomes (recycling their objects), and deliver staged
-// events.
+// frames.
 func (rp *gatewayReplica) finishIteration(end sim.Time) {
 	rp.releaseBatch()
 	rp.finalizeDone(end)
-	if rp.srv.frameBuf > 0 {
-		rp.ensureSpares()
-		rp.flushFrames()
-	} else {
-		rp.flush()
-	}
+	rp.ensureSpares()
+	rp.flushFrames()
 }
 
 // releaseBatch unpins every prefix released this iteration in a single
@@ -368,10 +328,10 @@ func (rp *gatewayReplica) releaseBatch() {
 
 // finalizeDone freezes the outcome of every request that finished this
 // iteration: the stream entry's result is stamped for its consumer, the
-// request leaves the live table with its Outcome appended to doneOut, and
-// (in batched mode) the request object returns to the pool. All under
-// finMu, which the metrics scanners also hold — after this, nothing can
-// reach the recycled request.
+// request leaves the live table with its Outcome recorded in the ledger,
+// and the request object returns to the pool. All under finMu, which the
+// metrics scanners also hold — after this, nothing can reach the recycled
+// request.
 //
 //qoserve:outcome complete
 func (rp *gatewayReplica) finalizeDone(end sim.Time) {
@@ -384,11 +344,9 @@ func (rp *gatewayReplica) finalizeDone(end sim.Time) {
 		r := e.req
 		e.res = resultOf(r, end)
 		delete(srv.live, r.ID)
-		srv.doneOut = append(srv.doneOut, metrics.OutcomeOf(r, end))
+		srv.ledger.add(metrics.OutcomeOf(r, end), end)
 		e.req = nil
-		if e.frames != nil {
-			srv.recycleRequest(r)
-		}
+		srv.recycleRequest(r)
 	}
 	srv.finMu.Unlock()
 	for i := range rp.finalQ {
@@ -426,7 +384,7 @@ func (rp *gatewayReplica) pushSpare(f []Event) {
 }
 
 // flushFrames delivers every queued entry's staged frame without holding
-// any lock — the batched counterpart of flush. Non-final frames are
+// any lock. Non-final frames are
 // best-effort: a full channel keeps the entry queued so the next
 // iteration coalesces into the same frame (events drop only once the
 // frame itself fills). Final frames always land via sendFinalFrame, which
@@ -438,14 +396,15 @@ func (rp *gatewayReplica) flushFrames() {
 	keep := rp.sendQ[:0]
 	for _, e := range rp.sendQ {
 		if e.final {
-			id := e.id
-			rp.sendFinalFrame(e)
-			delete(rp.streams, id)
+			// Retire the stream before its final frame ships, so a consumer
+			// that has seen Done never finds the request still pending.
+			delete(rp.streams, e.id)
 			rp.active--
 			rp.load.Add(-1)
 			if srv.inFlight.Add(-1) == 0 {
 				srv.kickDrain()
 			}
+			rp.sendFinalFrame(e)
 			continue
 		}
 		select {
@@ -467,7 +426,7 @@ func (rp *gatewayReplica) flushFrames() {
 // dropped; the storage returns to the spare stack). The loop is the only
 // sender and the consumer only receives, so eviction makes room and the
 // loop terminates. Delivering the final frame is what completes a request
-// in batched mode — this is the gateway's outcome recorder. No entry
+// — this is the gateway's outcome recorder. No entry
 // field is touched after the send: the consumer may recycle the entry the
 // moment it lands.
 //

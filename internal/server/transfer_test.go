@@ -41,13 +41,13 @@ func TestGatewayCrossReplicaTransfer(t *testing.T) {
 	chain := kvcache.SyntheticChain(21, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
 	shareable := uint64(len(chain) * kvcache.DefaultBlockTokens)
 
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
 	kv := srv.KVStats()
 	if kv.PrefixTransferTokens != 0 || kv.PrefixHitTokens != 0 {
 		t.Fatalf("cold turn counted hits (%d) or transfers (%d)", kv.PrefixHitTokens, kv.PrefixTransferTokens)
 	}
 
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
 	kv = srv.KVStats()
 	if kv.PrefixTransferTokens != shareable {
 		t.Fatalf("transferred %d tokens, want %d (full cached prefix imported)", kv.PrefixTransferTokens, shareable)
@@ -61,7 +61,7 @@ func TestGatewayCrossReplicaTransfer(t *testing.T) {
 
 	// Both replicas now hold the chain, so a third turn hits locally
 	// wherever the rotation lands it — no further interconnect traffic.
-	drainStream(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
 	kv = srv.KVStats()
 	if kv.PrefixTransferTokens != shareable {
 		t.Fatalf("third turn moved KV again (%d transfer tokens, want %d)", kv.PrefixTransferTokens, shareable)
@@ -113,7 +113,7 @@ func TestChaosTransferSourceCrashFallsBackToRecompute(t *testing.T) {
 
 	prompt := 512
 	chain := kvcache.SyntheticChain(31, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
-	drainStream(t, srv, Submission{Class: "Q2", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+	serveOne(t, srv, Submission{Class: "Q2", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
 
 	holder, hit := srv.prefixIdx.BestMatch(srv.prefillReps, chain)
 	if holder < 0 || hit == 0 {
@@ -130,15 +130,11 @@ func TestChaosTransferSourceCrashFallsBackToRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := 0
-	for ev := range st.Events {
-		last = ev.Token
+	if _, last := drain(st); last.Token != 4 {
+		t.Fatalf("post-crash turn ended at token %d, want 4", last.Token)
 	}
-	if last != 4 {
-		t.Fatalf("post-crash turn ended at token %d, want 4", last)
-	}
-	if st.req.FailedReason != "" {
-		t.Fatalf("post-crash turn failed: %q", st.req.FailedReason)
+	if reason := st.Result().Failed; reason != "" {
+		t.Fatalf("post-crash turn failed: %q", reason)
 	}
 
 	kv := srv.KVStats()
