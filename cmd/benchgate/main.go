@@ -11,6 +11,9 @@
 //
 // Comparison rules:
 //
+//   - The two files must have been measured at the same GOMAXPROCS (the
+//     gateway benchmarks scale their submitter count with it); otherwise
+//     the gate fails without comparing anything.
 //   - Only benchmarks present in BOTH files are compared; extra entries on
 //     either side are ignored (so a short CI pass may run a subset).
 //   - Throughput metrics ("req/s", "tok/s") are higher-better: current
@@ -62,7 +65,7 @@ func main() {
 		fmt.Println(row)
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\nbenchgate: %d metric(s) regressed past tolerance:\n", len(failures))
+		fmt.Fprintf(os.Stderr, "\nbenchgate: %d check(s) failed:\n", len(failures))
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "  "+f)
 		}
@@ -89,6 +92,10 @@ func gatedExtra(unit string) bool {
 // human-readable row per compared benchmark and one failure line per
 // metric outside tolerance.
 func compare(base, cur benchfmt.Baseline, tol, tolAllocs float64) (rows, failures []string) {
+	if base.GoMaxProcs != cur.GoMaxProcs {
+		return nil, []string{fmt.Sprintf("gomaxprocs differs: baseline %d, current %d (rerun with -cpu %d)",
+			base.GoMaxProcs, cur.GoMaxProcs, base.GoMaxProcs)}
+	}
 	curByName := make(map[string]benchfmt.Result, len(cur.Benchmarks))
 	for _, r := range cur.Benchmarks {
 		curByName[r.Name] = r

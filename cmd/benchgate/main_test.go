@@ -99,3 +99,23 @@ func TestGateCountersDoNotGate(t *testing.T) {
 		t.Fatalf("counter extra gated: %v", failures)
 	}
 }
+
+// TestGateRejectsGoMaxProcsMismatch: a run at a different GOMAXPROCS than
+// the baseline fails the gate even when every metric is within tolerance —
+// the gateway benchmarks scale their submitters with the CPU count, so the
+// numbers are not comparable.
+func TestGateRejectsGoMaxProcsMismatch(t *testing.T) {
+	base := load(t, "testdata/baseline.json")
+	cur := load(t, "testdata/procs2.json")
+	rows, failures := compare(base, cur, 0.6, 0.3)
+	if len(failures) != 1 || !strings.Contains(failures[0], "gomaxprocs") {
+		t.Fatalf("want one gomaxprocs failure, got %v", failures)
+	}
+	if len(rows) != 0 {
+		t.Fatalf("compared metrics across CPU counts: %v", rows)
+	}
+	cur.GoMaxProcs = base.GoMaxProcs
+	if _, failures := compare(base, cur, 0.6, 0.3); len(failures) != 0 {
+		t.Fatalf("same run at matching GOMAXPROCS failed: %v", failures)
+	}
+}

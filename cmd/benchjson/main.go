@@ -70,11 +70,23 @@ func main() {
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 
+	// The document records the GOMAXPROCS the benchmarks ran at, read off
+	// their names, so benchgate can refuse to compare runs at different
+	// CPU counts.
+	procs := 1
+	for i, r := range results {
+		if i == 0 {
+			procs = r.Procs
+		} else if r.Procs != procs {
+			fatal(fmt.Errorf("benchmarks ran at GOMAXPROCS %d and %d; write one file per CPU count", procs, r.Procs))
+		}
+	}
+
 	doc := benchfmt.Baseline{
 		GoVersion:  runtime.Version(),
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		GoMaxProcs: procs,
 		Meta:       meta,
 		Benchmarks: results,
 	}

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 
+	"qoserve/cmd/internal/serving"
 	"qoserve/internal/model"
 	"qoserve/internal/predictor"
 	"qoserve/internal/profile"
@@ -33,16 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var mc model.Config
-	switch *hardware {
-	case "llama3-8b":
-		mc = model.Llama3_8B_A100_TP1()
-	case "qwen-7b":
-		mc = model.Qwen_7B_A100_TP2()
-	case "llama3-70b":
-		mc = model.Llama3_70B_H100_TP4()
-	default:
-		log.Fatalf("unknown hardware %q", *hardware)
+	mc, err := serving.Hardware(*hardware)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *verify != "" {

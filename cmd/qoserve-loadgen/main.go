@@ -26,17 +26,12 @@ import (
 	"strconv"
 	"strings"
 
+	"qoserve/cmd/internal/serving"
 	"qoserve/internal/cluster"
-	"qoserve/internal/core"
 	"qoserve/internal/kvcache"
 	"qoserve/internal/loadgen"
-	"qoserve/internal/model"
-	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
 	"qoserve/internal/qos"
-	"qoserve/internal/sched"
 	"qoserve/internal/server"
-	"qoserve/internal/sim"
 	"qoserve/internal/workload"
 )
 
@@ -67,85 +62,24 @@ func main() {
 		followP90  = flag.Float64("follow-p90", 128, "session-mode follow-up user tokens 90th percentile")
 		prefixMin  = flag.Int("prefix-min-match", cluster.DefaultMinMatchTokens, "smallest cached-prefix match (tokens) the prefix balancer chases")
 		kvDRAM     = flag.Int("kv-dram-tokens", 0, "DRAM spill tier per replica (tokens); 0 evicts demoted prefix blocks outright")
-		prefixIdx  = flag.Bool("prefix-global", true, "publish prefix-cache membership into a lock-free global index for routing probes")
 		kvXferGbps = flag.Float64("kv-transfer-gbps", 0, "cross-replica KV migration interconnect (GB/s); 0 recomputes missed prefixes instead")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON on stdout")
 		allowDrops = flag.Bool("allow-drops", false, "do not fail on dropped stream events")
 	)
 	flag.Parse()
 
-	var mc model.Config
-	switch *hardware {
-	case "llama3-8b":
-		mc = model.Llama3_8B_A100_TP1()
-	case "qwen-7b":
-		mc = model.Qwen_7B_A100_TP2()
-	case "llama3-70b":
-		mc = model.Llama3_70B_H100_TP4()
-	default:
-		log.Fatalf("unknown hardware %q", *hardware)
+	stack, err := serving.Build(serving.Options{
+		Hardware:       *hardware,
+		Policy:         *policyName,
+		Chunk:          *chunk,
+		Balancer:       *balancer,
+		PrefixMin:      *prefixMin,
+		KVTransferGbps: *kvXferGbps,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	// Memoized: the qoserve/medha policies and the predicted balancer all
-	// share one read-only forest.
-	var trained *predictor.Forest
-	trainPredictor := func() *predictor.Forest {
-		if trained != nil {
-			return trained
-		}
-		log.Printf("profiling %s and training the latency predictor ...", mc.Name())
-		samples, err := profile.Collect(mc, profile.Config{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trained, err = predictor.Train(samples, predictor.ForestConfig{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return trained
-	}
-
-	var factory func() sched.Scheduler
-	switch *policyName {
-	case "qoserve":
-		forest := trainPredictor()
-		factory = func() sched.Scheduler { return core.New(forest, core.DefaultOptions()) }
-	case "sarathi-fcfs":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, *chunk) }
-	case "sarathi-edf":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.EDF, *chunk) }
-	case "sarathi-srpf":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, *chunk) }
-	case "vllm":
-		factory = func() sched.Scheduler { return sched.NewVLLM(0) }
-	case "medha":
-		forest := trainPredictor()
-		factory = func() sched.Scheduler { return sched.NewMedha(forest, 50*sim.Millisecond, 0) }
-	default:
-		log.Fatalf("unknown policy %q", *policyName)
-	}
-
-	var lb cluster.GatewayBalancer
-	switch *balancer {
-	case "round-robin":
-		lb = &cluster.AtomicRoundRobin{}
-	case "least-loaded":
-		lb = cluster.LeastLoaded{}
-	case "prefix":
-		lb = &cluster.PrefixAffinity{MinMatchTokens: *prefixMin}
-	case "predicted":
-		pl := &cluster.PredictedLatency{Predictor: trainPredictor()}
-		if *kvXferGbps > 0 {
-			pl.Transfer = &cluster.TransferModel{
-				BytesPerToken: mc.Model.KVBytesPerToken(),
-				BandwidthBps:  *kvXferGbps * 1e9,
-				MinTokens:     *prefixMin,
-			}
-		}
-		lb = pl
-	default:
-		log.Fatalf("unknown balancer %q", *balancer)
-	}
+	mc := stack.Model
 
 	classes, err := parseMix(*mix,
 		workload.TokenDist{P50: *promptP50, P90: *promptP90, Max: 8192},
@@ -156,11 +90,10 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Model:               mc,
-		SchedulerFactory:    factory,
+		SchedulerFactory:    stack.SchedulerFactory,
 		Replicas:            *replicas,
-		Balancer:            lb,
+		Balancer:            stack.Balancer,
 		KV:                  kvcache.Config{DRAMTokens: *kvDRAM},
-		GlobalPrefixIndex:   *prefixIdx,
 		KVTransferBandwidth: *kvXferGbps * 1e9,
 		StreamBuffer:        *streamBuf,
 		Classes:             qos.Table3(),

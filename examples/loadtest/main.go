@@ -16,14 +16,17 @@ import (
 	"qoserve/internal/model"
 	"qoserve/internal/predictor"
 	"qoserve/internal/qos"
+	"qoserve/internal/sched"
 	"qoserve/internal/server"
 )
 
 func main() {
 	mc := model.Llama3_8B_A100_TP1()
 	srv, err := server.New(server.Config{
-		Model:     mc,
-		Scheduler: core.New(predictor.Oracle{Config: mc}, core.DefaultOptions()),
+		Model: mc,
+		SchedulerFactory: func() sched.Scheduler {
+			return core.New(predictor.Oracle{Config: mc}, core.DefaultOptions())
+		},
 		Classes:   qos.Table3(),
 		Timescale: 200, // 1 wall millisecond = 200 virtual milliseconds
 	})

@@ -16,7 +16,9 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
+	// Name has the -N GOMAXPROCS suffix stripped; Procs holds it.
 	Name        string  `json:"name"`
+	Procs       int     `json:"-"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
@@ -27,9 +29,10 @@ type Result struct {
 
 // Baseline is the emitted document.
 type Baseline struct {
-	GoVersion  string            `json:"go_version"`
-	GoOS       string            `json:"goos"`
-	GoArch     string            `json:"goarch"`
+	GoVersion string `json:"go_version"`
+	GoOS      string `json:"goos"`
+	GoArch    string `json:"goarch"`
+	// GoMaxProcs is the GOMAXPROCS the benchmarks ran at.
 	GoMaxProcs int               `json:"gomaxprocs"`
 	Meta       map[string]string `json:"meta,omitempty"`
 	Benchmarks []Result          `json:"benchmarks"`
@@ -68,7 +71,8 @@ func Parse(r io.Reader) ([]Result, error) {
 		if err != nil {
 			continue
 		}
-		res := Result{Name: TrimProcs(fields[0]), Iterations: iters}
+		name, procs := SplitProcs(fields[0])
+		res := Result{Name: name, Procs: procs, Iterations: iters}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -99,12 +103,13 @@ func Parse(r io.Reader) ([]Result, error) {
 	return out, sc.Err()
 }
 
-// TrimProcs drops the -N GOMAXPROCS suffix Go appends to benchmark names.
-func TrimProcs(name string) string {
+// SplitProcs splits the -N GOMAXPROCS suffix off a benchmark name. Go
+// appends none when GOMAXPROCS is 1, so a bare name reports 1.
+func SplitProcs(name string) (string, int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }

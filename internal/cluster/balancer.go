@@ -163,21 +163,3 @@ func (b *PrefixAffinity) PickPrefix(n int, load func(int) int, match func(int) i
 	}
 	return best
 }
-
-// PrefixAware is the simulation-side adapter over PrefixAffinity: it probes
-// each replica's KV manager directly.
-type PrefixAware struct {
-	Affinity PrefixAffinity
-}
-
-// Pick returns the replica with the longest cached prefix for r, falling
-// back below the threshold.
-func (b *PrefixAware) Pick(replicas []*replica.Replica, r *request.Request) int {
-	load := func(i int) int { return replicas[i].Scheduler().Pending() }
-	if len(r.PrefixHashes) == 0 {
-		return b.Affinity.PickIndex(len(replicas), load)
-	}
-	return b.Affinity.PickPrefix(len(replicas), load, func(i int) int {
-		return replicas[i].KV().MatchTokens(r.PrefixHashes)
-	})
-}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"qoserve/internal/predictor"
 	"qoserve/internal/replica"
-	"qoserve/internal/request"
 	"qoserve/internal/sim"
 )
 
@@ -88,24 +87,4 @@ func (b *PredictedLatency) pickScored(n int, load func(int) int, snap func(int) 
 		}
 	}
 	return best
-}
-
-// PredictedAware is the simulation-side adapter over PredictedLatency: it
-// snapshots each replica's queue state directly. Decode length uses the
-// scheduler-visible estimate (EstDecodeTokens), never the ground truth.
-type PredictedAware struct {
-	Latency PredictedLatency
-}
-
-// Pick returns the replica with the lowest predicted completion latency
-// for r.
-func (b *PredictedAware) Pick(replicas []*replica.Replica, r *request.Request) int {
-	decode := r.EstDecodeTokens
-	if decode <= 0 {
-		decode = 1
-	}
-	return b.Latency.PickPredicted(len(replicas),
-		func(i int) int { return replicas[i].Scheduler().Pending() },
-		func(i int) replica.LoadSnapshot { return replicas[i].Snapshot() },
-		r.PromptTokens, decode)
 }

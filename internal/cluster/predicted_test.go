@@ -3,12 +3,8 @@ package cluster
 import (
 	"testing"
 
-	"qoserve/internal/model"
 	"qoserve/internal/profile"
-	"qoserve/internal/qos"
 	"qoserve/internal/replica"
-	"qoserve/internal/request"
-	"qoserve/internal/sched"
 	"qoserve/internal/sim"
 )
 
@@ -102,29 +98,5 @@ func TestPredictedPickSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("predicted pick allocates %v times per call, want 0", allocs)
-	}
-}
-
-// TestPredictedAwareRoutesAroundBusyReplica runs the sim-side adapter over
-// real replicas: a replica chewing a giant prompt must lose the next
-// request to an idle peer, even though both hold "one request" by count.
-func TestPredictedAwareRoutesAroundBusyReplica(t *testing.T) {
-	engine := sim.NewEngine()
-	mc := model.Llama3_8B_A100_TP1()
-	newRep := func() *replica.Replica {
-		r, err := replica.New(engine, mc, sched.NewSarathi(sched.FCFS, 512))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	reps := []*replica.Replica{newRep(), newRep()}
-	giant := &request.Request{ID: 1, App: "Q3", Class: qos.Table3()[2], PromptTokens: 16384, DecodeTokens: 8}
-	reps[0].Submit(giant)
-
-	b := &PredictedAware{Latency: PredictedLatency{Predictor: scoreStub{}}}
-	short := &request.Request{ID: 2, App: "Q1", Class: qos.Table3()[0], PromptTokens: 128, DecodeTokens: 8, EstDecodeTokens: 8}
-	if idx := b.Pick(reps, short); idx != 1 {
-		t.Fatalf("picked %d, want 1 (idle replica)", idx)
 	}
 }

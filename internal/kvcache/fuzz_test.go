@@ -94,50 +94,3 @@ func splitParseChain(s string) ([]uint64, error) {
 	}
 	return chain, nil
 }
-
-// FuzzGlobalIndexDecode exercises the global-prefix-index snapshot wire
-// parser with hostile input. Anything accepted must satisfy the snapshot
-// invariants (tier counts summing to the hash count, bounded sizes) and
-// re-encode to the identical wire string — the format is strictly
-// canonical, so decode-encode is the identity on accepted input.
-func FuzzGlobalIndexDecode(f *testing.F) {
-	f.Add("")
-	f.Add("x1:0,16,0,0:")
-	f.Add("x1:3,16,2,1:1-ab-ffffffffffffffff")
-	f.Add("x1:1,1,1,0:0")
-	f.Add("v1:0,0,0,0,0,0")
-	f.Add("x1:0,16,2,0:ab-ab")
-	f.Add("x1:0,16,2,0:b-a")
-	f.Add("x1:00,16,1,0:ab")
-	f.Add("x1:0,16,1,0:0ab")
-	f.Add("x1:0,16,1,0:AB")
-	func() {
-		m, err := NewTiered(Config{CapacityTokens: 16 * 8, DRAMTokens: 16 * 4})
-		if err != nil {
-			panic(err)
-		}
-		m.AcquirePrefix(1, SyntheticChain(9, 0, 5))
-		idx := NewGlobalIndex(1)
-		idx.Publish(0, m.ExportIndex())
-		f.Add(idx.Snapshot(0).Encode())
-	}()
-	f.Fuzz(func(t *testing.T, s string) {
-		snap, err := DecodeIndexSnapshot(s)
-		if err != nil {
-			return
-		}
-		if snap.HBMBlocks+snap.DRAMBlocks != snap.Blocks() {
-			t.Fatalf("accepted snapshot with tiers %d+%d over %d hashes",
-				snap.HBMBlocks, snap.DRAMBlocks, snap.Blocks())
-		}
-		if snap.Blocks() > MaxIndexBlocks {
-			t.Fatalf("accepted %d blocks", snap.Blocks())
-		}
-		if snap.BlockTokens < 1 {
-			t.Fatalf("accepted block size %d", snap.BlockTokens)
-		}
-		if got := snap.Encode(); got != s {
-			t.Fatalf("decode-encode changed wire form: %q != %q", got, s)
-		}
-	})
-}

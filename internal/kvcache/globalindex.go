@@ -13,9 +13,9 @@
 // cache — whose membership is quiescent even though pins churn — publishes
 // nothing at all.
 //
-// Snapshots are epoch-stamped and carry a canonical wire encoding
-// (DecodeIndexSnapshot / Encode) so gateways can gossip them across
-// processes the same way replica.LoadSnapshot travels.
+// Snapshots are epoch-stamped so a reader can tell two publications of
+// the same slot apart. They live only inside one process: the gateway
+// probes them in place of its replicas' locked caches.
 //
 // Staleness is inherent and accepted: a probe may see blocks a replica
 // evicted a moment ago, or miss blocks it just cached. Consumers therefore
@@ -26,24 +26,8 @@ package kvcache
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 )
-
-// indexWireVersion prefixes the index snapshot wire encoding.
-const indexWireVersion = "x1"
-
-// maxIndexValue bounds each decoded header field, mirroring
-// replica.LoadSnapshot's bound: far above anything real, small enough that
-// invariant arithmetic stays inside int64.
-const maxIndexValue = 1 << 40
-
-// MaxIndexBlocks caps the block hashes one decoded snapshot may carry.
-// 1<<20 blocks is 16M tokens at the default block size — an order of
-// magnitude past the largest HBM+DRAM tier this repo models.
-const MaxIndexBlocks = 1 << 20
 
 // IndexSnapshot is one replica's published block membership: the set of
 // chain hashes resident in either tier, plus tier occupancy counts for
@@ -127,119 +111,6 @@ func (s *IndexSnapshot) MatchTokens(chain []uint64) int {
 		n++
 	}
 	return n * s.BlockTokens
-}
-
-// Encode renders the snapshot in its canonical wire form:
-//
-//	x1:<epoch>,<block_tokens>,<hbm_blocks>,<dram_blocks>:<hash>-<hash>-...
-//
-// Header fields are canonical decimal; hashes are canonical lower-case hex
-// (no leading zeros) sorted ascending and "-"-joined, empty when nothing
-// is cached. DecodeIndexSnapshot(s.Encode()) round-trips exactly.
-func (s *IndexSnapshot) Encode() string {
-	sorted := make([]uint64, 0, len(s.hashes))
-	for h := range s.hashes {
-		sorted = append(sorted, h)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:%d,%d,%d,%d:", indexWireVersion,
-		s.Epoch, s.BlockTokens, s.HBMBlocks, s.DRAMBlocks)
-	for i, h := range sorted {
-		if i > 0 {
-			b.WriteByte('-')
-		}
-		b.WriteString(strconv.FormatUint(h, 16))
-	}
-	return b.String()
-}
-
-// DecodeIndexSnapshot parses the wire form produced by Encode, rejecting
-// unknown versions, non-canonical spellings, out-of-order or duplicate
-// hashes, tier counts that do not sum to the hash count, and values past
-// the sanity bounds.
-func DecodeIndexSnapshot(wire string) (*IndexSnapshot, error) {
-	version, rest, ok := strings.Cut(wire, ":")
-	if !ok {
-		return nil, fmt.Errorf("kvcache: index snapshot %q has no version prefix", wire)
-	}
-	if version != indexWireVersion {
-		return nil, fmt.Errorf("kvcache: unsupported index snapshot version %q", version)
-	}
-	header, body, ok := strings.Cut(rest, ":")
-	if !ok {
-		return nil, fmt.Errorf("kvcache: index snapshot has no hash section")
-	}
-	parts := strings.Split(header, ",")
-	if len(parts) != 4 {
-		return nil, fmt.Errorf("kvcache: index snapshot header has %d fields, want 4", len(parts))
-	}
-	var fields [4]uint64
-	for i, p := range parts {
-		// Reject non-canonical spellings ("+1", " 1", "01") so encode and
-		// decode stay a strict round trip.
-		if p == "" || (len(p) > 1 && p[0] == '0') || p[0] == '+' {
-			return nil, fmt.Errorf("kvcache: index header field %d %q is not canonical decimal", i, p)
-		}
-		v, err := strconv.ParseUint(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("kvcache: index header field %d: %v", i, err)
-		}
-		if v > maxIndexValue {
-			return nil, fmt.Errorf("kvcache: index header field %d value %d exceeds %d", i, v, maxIndexValue)
-		}
-		fields[i] = v
-	}
-	blockTokens, hbm, dram := int(fields[1]), int(fields[2]), int(fields[3])
-	if blockTokens < 1 {
-		return nil, fmt.Errorf("kvcache: index block size %d", blockTokens)
-	}
-	if hbm+dram > MaxIndexBlocks {
-		return nil, fmt.Errorf("kvcache: index advertises %d blocks, max %d", hbm+dram, MaxIndexBlocks)
-	}
-	set := make(map[uint64]struct{})
-	if body != "" {
-		prev, first := uint64(0), true
-		for _, p := range strings.Split(body, "-") {
-			h, err := parseIndexHash(p)
-			if err != nil {
-				return nil, err
-			}
-			if !first && h <= prev {
-				return nil, fmt.Errorf("kvcache: index hash %q out of order", p)
-			}
-			prev, first = h, false
-			set[h] = struct{}{}
-		}
-	}
-	if hbm+dram != len(set) {
-		return nil, fmt.Errorf("kvcache: index tiers %d+%d != %d hashes", hbm, dram, len(set))
-	}
-	return &IndexSnapshot{
-		Epoch:       fields[0],
-		BlockTokens: blockTokens,
-		HBMBlocks:   hbm,
-		DRAMBlocks:  dram,
-		hashes:      set,
-	}, nil
-}
-
-// parseIndexHash parses one canonical lower-case hex hash: non-empty, at
-// most 16 digits, no leading zero (except "0" itself), no uppercase.
-func parseIndexHash(p string) (uint64, error) {
-	if p == "" || len(p) > 16 {
-		return 0, fmt.Errorf("kvcache: index hash %q is not a 64-bit hex value", p)
-	}
-	if len(p) > 1 && p[0] == '0' {
-		return 0, fmt.Errorf("kvcache: index hash %q has a leading zero", p)
-	}
-	for i := 0; i < len(p); i++ {
-		c := p[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return 0, fmt.Errorf("kvcache: index hash %q is not canonical lower-case hex", p)
-		}
-	}
-	return strconv.ParseUint(p, 16, 64)
 }
 
 // GlobalIndex holds one published IndexSnapshot per replica behind an

@@ -1,10 +1,6 @@
 package kvcache
 
-import (
-	"fmt"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestExportIndexTracksMembership(t *testing.T) {
 	m := mustTiered(t, Config{CapacityTokens: 16 * 8, DRAMTokens: 16 * 4})
@@ -97,67 +93,6 @@ func TestGlobalIndexBestMatch(t *testing.T) {
 	// Out-of-range probes are tolerated (stale source indices).
 	if got := idx.MatchTokens(7, chain); got != 0 {
 		t.Fatalf("out-of-range match %d", got)
-	}
-}
-
-func TestIndexSnapshotEncodeDecodeRoundTrip(t *testing.T) {
-	m := mustTiered(t, Config{CapacityTokens: 16 * 64, DRAMTokens: 16 * 8})
-	m.AcquirePrefix(1, SyntheticChain(3, 0, 7))
-	m.AcquirePrefix(2, SyntheticChain(4, 0, 3))
-	idx := NewGlobalIndex(1)
-	idx.Publish(0, m.ExportIndex())
-	snap := idx.Snapshot(0)
-
-	wire := snap.Encode()
-	back, err := DecodeIndexSnapshot(wire)
-	if err != nil {
-		t.Fatalf("decode %q: %v", wire, err)
-	}
-	if back.Epoch != snap.Epoch || back.BlockTokens != snap.BlockTokens ||
-		back.HBMBlocks != snap.HBMBlocks || back.DRAMBlocks != snap.DRAMBlocks {
-		t.Fatalf("header changed: %+v != %+v", back, snap)
-	}
-	if !reflect.DeepEqual(back.hashes, snap.hashes) {
-		t.Fatal("hash set changed across round trip")
-	}
-	if again := back.Encode(); again != wire {
-		t.Fatalf("re-encode drifted: %q != %q", again, wire)
-	}
-
-	empty, err := DecodeIndexSnapshot("x1:0,16,0,0:")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Blocks() != 0 {
-		t.Fatalf("empty wire decoded to %d blocks", empty.Blocks())
-	}
-}
-
-func TestDecodeIndexSnapshotRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"",                      // no version
-		"v1:0,16,1,0:ab",        // wrong version
-		"x1:0,16,1,0",           // no hash section
-		"x1:0,16,1:ab",          // short header
-		"x1:0,16,1,0,9:ab",      // long header
-		"x1:00,16,1,0:ab",       // non-canonical decimal
-		"x1:+1,16,1,0:ab",       // sign
-		"x1:0,0,0,0:",           // zero block size
-		"x1:0,16,2,0:ab",        // tier sum != hashes
-		"x1:0,16,1,0:",          // tier counts but empty body
-		"x1:0,16,2,0:b-a",       // out of order
-		"x1:0,16,2,0:ab-ab",     // duplicate
-		"x1:0,16,1,0:0ab",       // leading-zero hash
-		"x1:0,16,1,0:AB",        // uppercase hash
-		"x1:0,16,1,0:xyz",       // not hex
-		"x1:0,16,1,0:ab-",       // trailing separator
-		"x1:99999999999999999999,16,1,0:ab", // epoch overflow
-		fmt.Sprintf("x1:0,16,%d,0:ab", MaxIndexBlocks+1), // block bound
-	}
-	for _, c := range cases {
-		if _, err := DecodeIndexSnapshot(c); err == nil {
-			t.Errorf("accepted malformed index snapshot %q", c)
-		}
 	}
 }
 

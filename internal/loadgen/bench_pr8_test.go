@@ -43,8 +43,8 @@ func sessionTransferSpec() Spec {
 
 // benchSessionTransfer drives the session workload against a 4-replica
 // colocated gateway. A fresh gateway per iteration keeps cache state from
-// leaking between runs; transfer wires the global prefix index plus a
-// 64 GB/s KV interconnect into the config.
+// leaking between runs; transfer wires a 64 GB/s KV interconnect into the
+// config.
 func benchSessionTransfer(b *testing.B, transfer bool, newLB func() cluster.GatewayBalancer) {
 	spec := sessionTransferSpec()
 	var reqs, ttft50, ttft90, ttft99, hit, moved float64
@@ -59,7 +59,6 @@ func benchSessionTransfer(b *testing.B, transfer bool, newLB func() cluster.Gate
 			Timescale:        1000,
 		}
 		if transfer {
-			cfg.GlobalPrefixIndex = true
 			cfg.KVTransferBandwidth = 64e9
 		}
 		srv, err := server.New(cfg)

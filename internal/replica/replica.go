@@ -57,10 +57,6 @@ type Replica struct {
 	active     []*request.Request
 	activeDone int
 
-	// lastChunk is the prefill-token budget of the most recent batch that
-	// carried any prefill — the chunk granularity LoadSnapshot reports.
-	lastChunk int
-
 	// Iteration-scoped scratch: at most one iteration is in flight per
 	// replica, so the completion/retry events and the shape buffer are
 	// reused instead of allocated per iteration.
@@ -69,13 +65,13 @@ type Replica struct {
 	shape model.BatchShape
 
 	// Stats.
-	iterations uint64
-	tokens     uint64
-	busyTime   sim.Time
-	kvDeferred uint64
-	rejected   uint64
-	crashes    uint64
-	restarts   uint64
+	iterations   uint64
+	tokens       uint64
+	busyTime     sim.Time
+	kvDeferred   uint64
+	rejected     uint64
+	crashes      uint64
+	restarts     uint64
 	prefixHit    uint64   // prompt tokens credited from the prefix cache
 	reloadTime   sim.Time // total DRAM->HBM transfer time charged
 	transferTime sim.Time // total cross-replica KV transfer time charged
@@ -235,7 +231,6 @@ func (r *Replica) Fail() []*request.Request {
 	r.down = true
 	r.crashes++
 	r.busy = false
-	r.lastChunk = 0
 	if r.pending.Valid() {
 		r.engine.Cancel(r.pending)
 		r.pending = sim.Handle{}
@@ -422,9 +417,6 @@ func (r *Replica) completeIteration(b sched.Batch, started, now sim.Time) {
 	r.iterations++
 	r.tokens += uint64(b.NewTokens())
 	r.busyTime += now - started
-	if pt := b.PrefillTokens(); pt > 0 {
-		r.lastChunk = pt
-	}
 
 	for _, p := range b.Prefill {
 		p.Req.RecordPrefill(p.Tokens, now)

@@ -1,19 +1,11 @@
 package replica
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"qoserve/internal/request"
-)
-
 // LoadSnapshot is one replica's queue state at a routing decision: the
 // inputs a latency-predicting balancer needs to score "what would this
 // replica's next iterations look like with one more request on it". It is
 // deliberately small and flat — the gateway materializes one per replica
 // per pick from lock-free atomics, so the struct must stay cheap to copy
-// and free of pointers.
+// and free of pointers. Snapshots never leave the process that took them.
 //
 // The fields mirror the predictor's feature space (profile.Features): the
 // prefill side is summarized by the backlog of unprefilled prompt tokens
@@ -37,147 +29,4 @@ type LoadSnapshot struct {
 	// scheduler is currently feeding prompts through. Zero means the
 	// replica has not planned a prefill yet.
 	ChunkBudgetTokens int
-}
-
-// snapshotWireVersion prefixes the wire encoding so the format can evolve.
-const snapshotWireVersion = "v1"
-
-// maxSnapshotValue bounds each decoded field. It is far above anything a
-// real replica reports (a trillion tokens) and keeps invariant arithmetic
-// comfortably inside int64 on every platform.
-const maxSnapshotValue = 1 << 40
-
-// Validate checks the internal consistency a snapshot taken atomically
-// from one replica must satisfy. Gateways build snapshots from independent
-// atomics and may transiently violate these between fields; the wire
-// decoder enforces them so anything crossing a process boundary is
-// self-consistent.
-func (s LoadSnapshot) Validate() error {
-	fields := [...]struct {
-		name string
-		v    int
-	}{
-		{"queued_requests", s.QueuedRequests},
-		{"pending_prefill_tokens", s.PendingPrefillTokens},
-		{"active_decodes", s.ActiveDecodes},
-		{"sum_decode_ctx", s.SumDecodeCtx},
-		{"max_decode_ctx", s.MaxDecodeCtx},
-		{"chunk_budget_tokens", s.ChunkBudgetTokens},
-	}
-	for _, f := range fields {
-		if f.v < 0 {
-			return fmt.Errorf("replica: snapshot %s %d is negative", f.name, f.v)
-		}
-		if f.v > maxSnapshotValue {
-			return fmt.Errorf("replica: snapshot %s %d exceeds %d", f.name, f.v, maxSnapshotValue)
-		}
-	}
-	if s.QueuedRequests == 0 && s.PendingPrefillTokens != 0 {
-		return fmt.Errorf("replica: snapshot has %d pending prefill tokens but no queued requests", s.PendingPrefillTokens)
-	}
-	if s.PendingPrefillTokens < s.QueuedRequests {
-		// Every queued request owes at least one prefill token (prefix
-		// hits are capped at prompt-1).
-		return fmt.Errorf("replica: snapshot has %d queued requests but only %d pending prefill tokens",
-			s.QueuedRequests, s.PendingPrefillTokens)
-	}
-	if s.ActiveDecodes == 0 {
-		if s.SumDecodeCtx != 0 || s.MaxDecodeCtx != 0 {
-			return fmt.Errorf("replica: snapshot has decode context (%d sum, %d max) but no active decodes",
-				s.SumDecodeCtx, s.MaxDecodeCtx)
-		}
-		return nil
-	}
-	if s.MaxDecodeCtx < 1 {
-		return fmt.Errorf("replica: snapshot has %d active decodes but max context %d", s.ActiveDecodes, s.MaxDecodeCtx)
-	}
-	if s.SumDecodeCtx < s.MaxDecodeCtx {
-		return fmt.Errorf("replica: snapshot sum decode ctx %d below max %d", s.SumDecodeCtx, s.MaxDecodeCtx)
-	}
-	// sum <= decodes*max, written division-side to stay overflow-free:
-	// ceil(sum/decodes) <= max.
-	if (s.SumDecodeCtx+s.ActiveDecodes-1)/s.ActiveDecodes > s.MaxDecodeCtx {
-		return fmt.Errorf("replica: snapshot sum decode ctx %d exceeds %d decodes x max %d",
-			s.SumDecodeCtx, s.ActiveDecodes, s.MaxDecodeCtx)
-	}
-	return nil
-}
-
-// Encode renders the snapshot in its canonical wire form:
-//
-//	v1:<queued>,<pending_prefill>,<decodes>,<sum_ctx>,<max_ctx>,<chunk>
-//
-// Decimal fields, no padding. DecodeLoadSnapshot(s.Encode()) round-trips
-// exactly for any snapshot that passes Validate.
-func (s LoadSnapshot) Encode() string {
-	return fmt.Sprintf("%s:%d,%d,%d,%d,%d,%d", snapshotWireVersion,
-		s.QueuedRequests, s.PendingPrefillTokens,
-		s.ActiveDecodes, s.SumDecodeCtx, s.MaxDecodeCtx,
-		s.ChunkBudgetTokens)
-}
-
-// DecodeLoadSnapshot parses the wire form produced by Encode, rejecting
-// unknown versions, malformed fields, and snapshots that violate the
-// Validate invariants.
-func DecodeLoadSnapshot(wire string) (LoadSnapshot, error) {
-	var s LoadSnapshot
-	version, body, ok := strings.Cut(wire, ":")
-	if !ok {
-		return s, fmt.Errorf("replica: snapshot %q has no version prefix", wire)
-	}
-	if version != snapshotWireVersion {
-		return s, fmt.Errorf("replica: unsupported snapshot version %q", version)
-	}
-	parts := strings.Split(body, ",")
-	if len(parts) != 6 {
-		return s, fmt.Errorf("replica: snapshot has %d fields, want 6", len(parts))
-	}
-	dst := [...]*int{
-		&s.QueuedRequests, &s.PendingPrefillTokens,
-		&s.ActiveDecodes, &s.SumDecodeCtx, &s.MaxDecodeCtx,
-		&s.ChunkBudgetTokens,
-	}
-	for i, p := range parts {
-		// Reject non-canonical spellings ("+1", " 1", "01") so encode and
-		// decode stay a strict round trip.
-		if p == "" || (len(p) > 1 && p[0] == '0') || p[0] == '+' {
-			return s, fmt.Errorf("replica: snapshot field %d %q is not canonical decimal", i, p)
-		}
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return s, fmt.Errorf("replica: snapshot field %d: %v", i, err)
-		}
-		if v > maxSnapshotValue {
-			return s, fmt.Errorf("replica: snapshot field %d value %d exceeds %d", i, v, maxSnapshotValue)
-		}
-		*dst[i] = int(v)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
-}
-
-// Snapshot summarizes the replica's current queue state for predicted-
-// latency routing. The simulation runs single-threaded on the event
-// engine, so the walk over the active list needs no locking; the live
-// gateway maintains the equivalent counters as atomics instead.
-func (r *Replica) Snapshot() LoadSnapshot {
-	s := LoadSnapshot{ChunkBudgetTokens: r.lastChunk}
-	for _, req := range r.active {
-		switch req.Phase() {
-		case request.Done:
-		case request.Decode:
-			s.ActiveDecodes++
-			c := req.ContextLen()
-			s.SumDecodeCtx += c
-			if c > s.MaxDecodeCtx {
-				s.MaxDecodeCtx = c
-			}
-		default: // Queued or Prefill: prompt not finished yet
-			s.QueuedRequests++
-			s.PendingPrefillTokens += req.RemainingPrefill()
-		}
-	}
-	return s
 }

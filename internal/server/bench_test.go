@@ -22,11 +22,11 @@ import (
 func fanoutFixture(tb testing.TB) (*gatewayReplica, sched.Batch) {
 	tb.Helper()
 	srv, err := New(Config{
-		Model:        model.Llama3_8B_A100_TP1(),
-		Scheduler:    &untraceable{},
-		Classes:      qos.Table3(),
-		StreamBuffer: 8,
-		EventFrame:   4,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(&untraceable{}),
+		Classes:          qos.Table3(),
+		StreamBuffer:     8,
+		EventFrame:       4,
 	})
 	if err != nil {
 		tb.Fatal(err)

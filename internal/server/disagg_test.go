@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -9,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"qoserve/internal/disagg"
 	"qoserve/internal/model"
 	"qoserve/internal/qos"
 	"qoserve/internal/sched"
+	"qoserve/internal/sim"
 )
 
 // newDisaggServer builds a two-tier gateway. Timescale 500 keeps
@@ -51,7 +54,6 @@ func TestDisaggConfigValidation(t *testing.T) {
 		func(c *Config) { c.Mode = "colocated"; c.Replicas = 4; c.PrefillReplicas = 2 },
 		func(c *Config) { c.Mode = "spatial"; c.Replicas = 4 },
 		func(c *Config) { c.Mode = "disagg"; c.Replicas = 4; c.TransferBandwidth = -1 },
-		func(c *Config) { c.Mode = "disagg"; c.Replicas = 4; c.StrictestTBT = -time.Millisecond },
 	}
 	for i, mutate := range bad {
 		cfg := base
@@ -74,6 +76,33 @@ func TestDisaggConfigValidation(t *testing.T) {
 	}
 	if srv.maxDecodeBatch < 1 {
 		t.Fatalf("derived decode batch %d", srv.maxDecodeBatch)
+	}
+}
+
+// TestDisaggDerivesDecodeBatchFromClasses pins the decode-tier batch cap
+// to the strictest interactive TBT SLO among the configured classes, with
+// 50 ms when no class is interactive.
+func TestDisaggDerivesDecodeBatchFromClasses(t *testing.T) {
+	mc := model.Llama3_8B_A100_TP1()
+	at50 := disagg.DeriveDecodeBatch(mc, 50*sim.Millisecond, 2048)
+	loose := qos.Class{Name: "Q1", Kind: qos.Interactive, SLO: qos.SLO{TTFT: 6 * sim.Second, TBT: 200 * sim.Millisecond}}
+	for _, tc := range []struct {
+		name    string
+		classes []qos.Class
+		want    int
+	}{
+		{"table3", qos.Table3(), at50},
+		{"polyserve", qos.PolyServeTiers(), at50},
+		{"non-interactive", qos.Table3()[1:], at50},
+		{"loose", []qos.Class{loose}, disagg.DeriveDecodeBatch(mc, 200*sim.Millisecond, 2048)},
+	} {
+		srv := newDisaggServer(t, Config{Replicas: 2, Classes: tc.classes})
+		if srv.maxDecodeBatch != tc.want {
+			t.Errorf("%s: decode batch %d, want %d", tc.name, srv.maxDecodeBatch, tc.want)
+		}
+	}
+	if at50 == disagg.DeriveDecodeBatch(mc, 200*sim.Millisecond, 2048) {
+		t.Fatal("50 ms and 200 ms derive the same cap; the loose case proves nothing")
 	}
 }
 
@@ -165,15 +194,34 @@ func TestDisaggPrefillTierPreemptsLongPrompt(t *testing.T) {
 }
 
 // TestDebugLoadEndpoint checks /debug/load exposes per-replica roles,
-// liveness, and wire-form snapshots.
+// liveness, and every load-snapshot field.
 func TestDebugLoadEndpoint(t *testing.T) {
 	srv := newDisaggServer(t, Config{Replicas: 3, PrefillReplicas: 2})
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/load", nil))
 	body, _ := io.ReadAll(rec.Result().Body)
-	for _, want := range []string{`"mode":"disagg"`, `"role":"prefill"`, `"role":"decode"`, `"snapshot":"v1:`} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/debug/load missing %q in %s", want, body)
+	for _, key := range []string{`"queued_requests":`, `"pending_prefill_tokens":`, `"active_decodes":`,
+		`"sum_decode_ctx":`, `"max_decode_ctx":`, `"chunk_budget_tokens":`, `"index_epoch":`} {
+		if strings.Count(string(body), key) != 3 {
+			t.Errorf("/debug/load lacks %s on every replica: %s", key, body)
+		}
+	}
+	var resp LoadResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("decode /debug/load: %v\n%s", err, body)
+	}
+	if resp.Mode != "disagg" || len(resp.Replicas) != 3 {
+		t.Fatalf("/debug/load mode %q with %d replicas, want disagg with 3", resp.Mode, len(resp.Replicas))
+	}
+	for i, want := range []string{"prefill", "prefill", "decode"} {
+		r := resp.Replicas[i]
+		if r.Replica != i || r.Role != want || !r.Up {
+			t.Errorf("replica %d: %+v, want role %s and up", i, r, want)
+		}
+		// An idle gateway has no queued work and no decode contexts.
+		if r.Load != 0 || r.QueuedRequests != 0 || r.PendingPrefillTokens != 0 ||
+			r.ActiveDecodes != 0 || r.SumDecodeCtx != 0 || r.MaxDecodeCtx != 0 {
+			t.Errorf("idle replica %d reports load: %+v", i, r)
 		}
 	}
 }

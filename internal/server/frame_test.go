@@ -148,7 +148,7 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 // TestFrameConfigValidation covers the EventFrame/StreamBuffer knobs and
 // the frame-channel depth derived from them.
 func TestFrameConfigValidation(t *testing.T) {
-	base := Config{Model: model.Llama3_8B_A100_TP1(), Scheduler: &untraceable{}, Classes: qos.Table3()}
+	base := Config{Model: model.Llama3_8B_A100_TP1(), SchedulerFactory: only(&untraceable{}), Classes: qos.Table3()}
 
 	cfg := base
 	cfg.EventFrame = -1
@@ -182,9 +182,9 @@ func TestFrameConfigValidation(t *testing.T) {
 // rebuild; small or still-occupied tables must be left alone.
 func TestStreamTableShrink(t *testing.T) {
 	srv, err := New(Config{
-		Model:     model.Llama3_8B_A100_TP1(),
-		Scheduler: &untraceable{},
-		Classes:   qos.Table3(),
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(&untraceable{}),
+		Classes:          qos.Table3(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,11 +269,11 @@ func (o *oneShot) Pending() int                              { return o.n }
 // so this covers the loop goroutine too.
 func TestFrameSubmitRecvAllocFree(t *testing.T) {
 	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  newOneShot(),
-		Classes:    qos.Table3(),
-		Timescale:  100000,
-		EventFrame: 4,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(newOneShot()),
+		Classes:          qos.Table3(),
+		Timescale:        100000,
+		EventFrame:       4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,15 +115,13 @@ type ReplicaLoad struct {
 	Up   bool   `json:"up"`
 	// Load is the number of unfinished requests routed to this replica.
 	Load int `json:"load"`
-	// Snapshot is the wire-encoded replica.LoadSnapshot (the same string
-	// a remote gateway would ship; see replica.DecodeLoadSnapshot).
-	Snapshot             string `json:"snapshot"`
-	QueuedRequests       int    `json:"queued_requests"`
-	PendingPrefillTokens int    `json:"pending_prefill_tokens"`
-	ActiveDecodes        int    `json:"active_decodes"`
-	SumDecodeCtx         int    `json:"sum_decode_ctx"`
-	MaxDecodeCtx         int    `json:"max_decode_ctx"`
-	ChunkBudgetTokens    int    `json:"chunk_budget_tokens"`
+	// The replica.LoadSnapshot fields, one by one.
+	QueuedRequests       int `json:"queued_requests"`
+	PendingPrefillTokens int `json:"pending_prefill_tokens"`
+	ActiveDecodes        int `json:"active_decodes"`
+	SumDecodeCtx         int `json:"sum_decode_ctx"`
+	MaxDecodeCtx         int `json:"max_decode_ctx"`
+	ChunkBudgetTokens    int `json:"chunk_budget_tokens"`
 	// CachedChainBlocks is prefix blocks resident in this replica's cache,
 	// both tiers.
 	CachedChainBlocks int `json:"cached_chain_blocks"`
@@ -131,7 +129,7 @@ type ReplicaLoad struct {
 	HBMUtilization  float64 `json:"hbm_utilization"`
 	DRAMUtilization float64 `json:"dram_utilization"`
 	// IndexEpoch is this replica's publication epoch in the global prefix
-	// index; 0 when the index is disabled or nothing was published yet.
+	// index; 0 when nothing was published yet.
 	IndexEpoch uint64 `json:"index_epoch"`
 }
 
@@ -204,16 +202,11 @@ func (s *Server) handleDebugLoad(w http.ResponseWriter, _ *http.Request) {
 		hbmBlocks, dramBlocks := rp.kv.CachedBlocks()
 		hbmUtil, dramUtil := rp.kv.TierUtilization()
 		rp.kvMu.Unlock()
-		var epoch uint64
-		if s.prefixIdx != nil {
-			epoch = s.prefixIdx.Epoch(i)
-		}
 		resp.Replicas = append(resp.Replicas, ReplicaLoad{
 			Replica:              i,
 			Role:                 s.roleOf(i),
 			Up:                   !rp.down.Load(),
 			Load:                 int(rp.load.Load()),
-			Snapshot:             snap.Encode(),
 			QueuedRequests:       snap.QueuedRequests,
 			PendingPrefillTokens: snap.PendingPrefillTokens,
 			ActiveDecodes:        snap.ActiveDecodes,
@@ -223,7 +216,7 @@ func (s *Server) handleDebugLoad(w http.ResponseWriter, _ *http.Request) {
 			CachedChainBlocks:    hbmBlocks + dramBlocks,
 			HBMUtilization:       hbmUtil,
 			DRAMUtilization:      dramUtil,
-			IndexEpoch:           epoch,
+			IndexEpoch:           s.prefixIdx.Epoch(i),
 		})
 	}
 	writeJSON(w, resp)
@@ -334,42 +327,6 @@ func (s *Server) writeMetrics(w io.Writer, vnow sim.Time, v outcomeView) {
 		p.intValue("qoserve_trace_iterations_total", "", s.tracer.Total())
 		p.header("qoserve_trace_events_total", "Scheduler events recorded by the tracer.", "counter")
 		p.intValue("qoserve_trace_events_total", "", s.tracer.Events())
-	}
-
-	if s.cfg.FaultStatus != nil {
-		fs := s.cfg.FaultStatus()
-		p.header("qoserve_replica_up", "Replica liveness (1 up, 0 down).", "gauge")
-		for i, r := range fs.Replicas {
-			up := uint64(0)
-			if r.Up {
-				up = 1
-			}
-			p.intValue("qoserve_replica_up", fmt.Sprintf(`{replica="%d"}`, i), up)
-		}
-		p.header("qoserve_replica_crashes_total", "Replica crashes by replica.", "counter")
-		for i, r := range fs.Replicas {
-			p.intValue("qoserve_replica_crashes_total", fmt.Sprintf(`{replica="%d"}`, i), r.Crashes)
-		}
-		p.header("qoserve_replica_restarts_total", "Replica restarts by replica.", "counter")
-		for i, r := range fs.Replicas {
-			p.intValue("qoserve_replica_restarts_total", fmt.Sprintf(`{replica="%d"}`, i), r.Restarts)
-		}
-		p.header("qoserve_replica_slow_factor", "Execution-time multiplier (1 nominal).", "gauge")
-		for i, r := range fs.Replicas {
-			f := r.SlowFactor
-			if f <= 0 {
-				f = 1
-			}
-			p.value("qoserve_replica_slow_factor", fmt.Sprintf(`{replica="%d"}`, i), f)
-		}
-		p.header("qoserve_request_retries_total", "Requests re-enqueued after replica crashes.", "counter")
-		p.intValue("qoserve_request_retries_total", "", fs.Retries)
-		p.header("qoserve_lost_tokens_total", "Tokens of progress discarded by replica crashes.", "counter")
-		p.intValue("qoserve_lost_tokens_total", "", fs.LostTokens)
-		p.header("qoserve_requests_failed_total", "Requests permanently failed with a reason.", "counter")
-		p.intValue("qoserve_requests_failed_total", "", uint64(fs.FailedRequests))
-		p.header("qoserve_requests_parked", "Requests waiting for any healthy replica.", "gauge")
-		p.intValue("qoserve_requests_parked", "", uint64(fs.Parked))
 	}
 
 	p.histogramMetric("qoserve_iteration_virtual_seconds",
@@ -484,9 +441,19 @@ func (s *Server) handleDebugQueues(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxGenerateBody bounds a POST /v1/generate body. The largest legitimate
+// field is the prefix chain, at most kvcache.MaxChainBlocks hashes (about
+// 70 KB), so 1 MiB leaves room to spare.
+const maxGenerateBody = 1 << 20
+
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGenerateBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "", "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "", "malformed request body: %v", err)
 		return
 	}

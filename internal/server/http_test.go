@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"qoserve/internal/kvcache"
 	"qoserve/internal/model"
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
@@ -22,11 +24,11 @@ import (
 func newTracedServer(t *testing.T, s sched.Scheduler, depth int) *Server {
 	t.Helper()
 	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  s,
-		Classes:    qos.Table3(),
-		Timescale:  testTimescale,
-		TraceDepth: depth,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(s),
+		Classes:          qos.Table3(),
+		Timescale:        testTimescale,
+		TraceDepth:       depth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,67 +119,6 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	// Q2 saw no traffic: its rolling quantiles must be NaN, not fabricated.
 	if !strings.Contains(text, `qoserve_class_ttft_seconds{class="Q2",quantile="0.5"} NaN`) {
 		t.Error("idle class quantile not NaN")
-	}
-	// No FaultStatus hook configured: the fault series must be absent.
-	if strings.Contains(text, "qoserve_replica_up") {
-		t.Error("fault series present without a FaultStatus hook")
-	}
-}
-
-// TestMetricsFaultStatus wires a FaultStatus hook — the bridge a
-// cluster-backed deployment provides from Cluster.Health()/FaultStats() —
-// and checks the replica up/down gauges and retry/lost-work counters it
-// feeds appear on /metrics.
-func TestMetricsFaultStatus(t *testing.T) {
-	srv, err := New(Config{
-		Model:     model.Llama3_8B_A100_TP1(),
-		Scheduler: qoserveSched(),
-		Classes:   qos.Table3(),
-		Timescale: testTimescale,
-		FaultStatus: func() FaultStatus {
-			return FaultStatus{
-				Replicas: []ReplicaHealth{
-					{Up: true, SlowFactor: 1},
-					{Up: false, Crashes: 2, Restarts: 1, SlowFactor: 3.5},
-				},
-				Retries:        7,
-				LostTokens:     1234,
-				FailedRequests: 1,
-				Parked:         3,
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	for _, want := range []string{
-		`qoserve_replica_up{replica="0"} 1`,
-		`qoserve_replica_up{replica="1"} 0`,
-		`qoserve_replica_crashes_total{replica="1"} 2`,
-		`qoserve_replica_restarts_total{replica="1"} 1`,
-		`qoserve_replica_slow_factor{replica="1"} 3.5`,
-		"qoserve_request_retries_total 7",
-		"qoserve_lost_tokens_total 1234",
-		"qoserve_requests_failed_total 1",
-		"qoserve_requests_parked 3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
 	}
 }
 
@@ -367,6 +308,67 @@ func TestGenerateErrorSchema(t *testing.T) {
 	}
 }
 
+// TestGenerateBodyLimit caps the generate body at maxGenerateBody: an
+// oversized body gets 413 in the error schema, while a large legal one — a
+// long prefix chain — still streams.
+func TestGenerateBodyLimit(t *testing.T) {
+	srv := newTestServer(t, qoserveSched())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	huge := `{"class":"Q1","prompt_tokens":10,"decode_tokens":1,"prefix_chain":"` +
+		strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status = %d, want 413", resp.StatusCode)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Error == "" || er.Field != "" {
+		t.Errorf("413 body = %+v", er)
+	}
+
+	// The longest chain the parser accepts, ~70 KB on the wire.
+	chain := kvcache.FormatChain(kvcache.SyntheticChain(9, 0, kvcache.MaxChainBlocks))
+	body, _ := json.Marshal(GenerateRequest{Class: "Q1", PromptTokens: 2048, DecodeTokens: 3, PrefixChain: chain})
+	if len(body) < 64<<10 || len(body) > maxGenerateBody {
+		t.Fatalf("legal body is %d bytes, want 64 KiB..1 MiB", len(body))
+	}
+	ok, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ok.Body.Close()
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("large legal body: status = %d, want 200", ok.StatusCode)
+	}
+	if evs := readEvents(t, ok.Body); len(evs) != 3 || evs[2].Event != "done" {
+		t.Fatalf("large legal body streamed %+v, want 3 events ending in done", evs)
+	}
+}
+
+// readEvents decodes a generate response stream to its end.
+func readEvents(t testing.TB, r io.Reader) []TokenEvent {
+	t.Helper()
+	var evs []TokenEvent
+	dec := json.NewDecoder(r)
+	for {
+		var ev TokenEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			return evs
+		} else if err != nil {
+			t.Fatalf("bad event after %d: %v", len(evs), err)
+		}
+		evs = append(evs, ev)
+	}
+}
+
 func TestGenerateAfterCloseIs503(t *testing.T) {
 	srv := newTestServer(t, qoserveSched())
 	ts := httptest.NewServer(srv.Handler())
@@ -403,19 +405,19 @@ func (u *untraceable) Pending() int                          { return u.pending 
 
 func TestTraceDepthRequiresTraceableScheduler(t *testing.T) {
 	_, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  &untraceable{},
-		Classes:    qos.Table3(),
-		TraceDepth: 16,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(&untraceable{}),
+		Classes:          qos.Table3(),
+		TraceDepth:       16,
 	})
 	if err == nil {
 		t.Fatal("untraceable scheduler accepted with TraceDepth set")
 	}
 	if _, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  qoserveSched(),
-		Classes:    qos.Table3(),
-		TraceDepth: -1,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(qoserveSched()),
+		Classes:          qos.Table3(),
+		TraceDepth:       -1,
 	}); err == nil {
 		t.Fatal("negative TraceDepth accepted")
 	}

@@ -26,11 +26,11 @@ func TestLedgerBoundedAcrossWindows(t *testing.T) {
 		SLO: qos.SLO{TTFT: sim.Microsecond, TBT: sim.Millisecond}})
 	const window = 2 * time.Second // virtual
 	srv, err := New(Config{
-		Model:         model.Llama3_8B_A100_TP1(),
-		Scheduler:     newOneShot(),
-		Classes:       classes,
-		Timescale:     100,
-		MetricsWindow: window,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(newOneShot()),
+		Classes:          classes,
+		Timescale:        100,
+		MetricsWindow:    window,
 	})
 	if err != nil {
 		t.Fatal(err)

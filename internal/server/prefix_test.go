@@ -115,10 +115,18 @@ func TestGatewayTruncatesOverlongChain(t *testing.T) {
 // Submission must not wait on any replica's prefix-cache lock: a serving
 // loop holds kvMu while it pins prefixes or republishes its global-index
 // snapshot, and a submitter that needs only the (immutable) block size
-// has no business queueing behind that. The test holds replica 0's kvMu
-// across a burst of submissions routed to both replicas.
+// has no business queueing behind that; routing probes the global index,
+// never the cache. The test holds replica 0's kvMu across a burst of
+// submissions routed to both replicas, by a load-blind and by a
+// prefix-aware balancer.
 func TestSubmitDoesNotTakeReplicaCacheLock(t *testing.T) {
-	srv := newPrefixServer(t, 2, &cluster.AtomicRoundRobin{})
+	for _, lb := range []cluster.GatewayBalancer{&cluster.AtomicRoundRobin{}, &cluster.PrefixAffinity{}} {
+		submitWithCacheLocked(t, newPrefixServer(t, 2, lb))
+	}
+}
+
+func submitWithCacheLocked(t *testing.T, srv *Server) {
+	t.Helper()
 	prompt := 600
 	chain := kvcache.SyntheticChain(5, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens)+3)
 

@@ -88,12 +88,8 @@ type Event struct {
 // Config configures a real-time server.
 type Config struct {
 	Model model.Config
-	// Scheduler serves the requests on a single-replica server; it must
-	// not be shared. Mutually exclusive with SchedulerFactory.
-	Scheduler sched.Scheduler
-	// SchedulerFactory builds one independent scheduler per replica; it is
-	// required when Replicas > 1 (each serving loop must own its policy
-	// state) and may also be used for a single replica.
+	// SchedulerFactory builds one independent scheduler per replica (each
+	// serving loop must own its policy state). Required.
 	SchedulerFactory func() sched.Scheduler
 	// Replicas is the number of independent serving loops (default 1).
 	// Throughput scales with replicas: each loop "executes" its batches
@@ -114,10 +110,10 @@ type Config struct {
 	// delay the admitting iteration — not for admission control, which the
 	// cost model does not need without real GPU memory.
 	KV kvcache.Config
-	// GlobalPrefixIndex publishes every replica's prefix-cache membership
-	// into a lock-free global index (kvcache.GlobalIndex) that routing
-	// probes instead of taking per-replica cache locks. Implied by a
-	// positive KVTransferBandwidth.
+	// GlobalPrefixIndex has no effect: every replica always publishes its
+	// prefix-cache membership into a lock-free global index
+	// (kvcache.GlobalIndex), and routing probes that index instead of
+	// taking per-replica cache locks. Kept so existing callers compile.
 	GlobalPrefixIndex bool
 	// KVTransferBandwidth enables cross-replica KV migration: when another
 	// replica holds a longer cached prefix than the routed one, the missing
@@ -141,9 +137,6 @@ type Config struct {
 	// Timescale accelerates virtual time relative to wall time (e.g.
 	// 100 means a 50 ms iteration sleeps 0.5 ms). Default 1.
 	Timescale float64
-	// MaxDecodeTokens bounds a submission's declared output length
-	// (default 4096) so stream buffers stay sane.
-	MaxDecodeTokens int
 	// TraceDepth enables live iteration tracing with a ring buffer
 	// retaining that many iterations, served by GET /debug/trace. Zero
 	// (the default) disables tracing entirely: the schedulers keep their
@@ -154,12 +147,6 @@ type Config struct {
 	// per-class TTFT/TTLT/TBT and violation-rate gauges on GET /metrics
 	// are computed. Default one minute.
 	MetricsWindow time.Duration
-	// FaultStatus, when non-nil, supplies replica health and recovery
-	// counters for GET /metrics (replica up/down gauges, retry and
-	// lost-work counters). Wire it to a cluster's fault state — e.g.
-	// bridge Cluster.Health() and Cluster.FaultStats() — or leave nil for
-	// servers without fault injection, which then omit the fault series.
-	FaultStatus func() FaultStatus
 
 	// Mode selects the gateway topology. "" or "colocated" (the default)
 	// runs every replica as a full serving loop handling both prefill and
@@ -176,38 +163,14 @@ type Config struct {
 	// tiers need at least one replica.
 	PrefillReplicas int
 	// MaxDecodeBatch caps decode-tier batch size in disagg mode. Zero
-	// derives the largest batch whose iteration time stays under
-	// StrictestTBT from the cost model (disagg.DeriveDecodeBatch).
+	// derives the largest batch whose iteration time stays under the
+	// strictest TBT SLO among Classes from the cost model
+	// (disagg.DeriveDecodeBatch; see strictestTBT).
 	MaxDecodeBatch int
-	// StrictestTBT is the tightest inter-token SLO the decode tier must
-	// sustain, used to derive MaxDecodeBatch (default 50ms). Disagg only.
-	StrictestTBT time.Duration
 	// TransferBandwidth is the prefill->decode KV interconnect in bytes
 	// per second of virtual time (default 64 GB/s, an NVLink-class
 	// fabric). Disagg only.
 	TransferBandwidth float64
-}
-
-// ReplicaHealth is one replica's liveness as exposed on /metrics.
-type ReplicaHealth struct {
-	Up         bool
-	Crashes    uint64
-	Restarts   uint64
-	SlowFactor float64
-}
-
-// FaultStatus carries failure and recovery state for /metrics.
-type FaultStatus struct {
-	// Replicas is per-replica health, indexed by replica number.
-	Replicas []ReplicaHealth
-	// Retries counts request re-enqueues after replica crashes.
-	Retries uint64
-	// LostTokens is the total tokens of progress discarded by crashes.
-	LostTokens uint64
-	// FailedRequests counts requests permanently failed with a reason.
-	FailedRequests int
-	// Parked counts requests currently waiting for any healthy replica.
-	Parked int
 }
 
 // Server is the sharded real-time serving gateway. Create with New, stop
@@ -239,10 +202,9 @@ type Server struct {
 	reloadTokens  atomic.Uint64 // hit tokens promoted from the DRAM tier
 
 	// prefixIdx is the global prefix index replicas publish their cache
-	// membership into; nil unless Config.GlobalPrefixIndex or a positive
-	// Config.KVTransferBandwidth enabled it. Entries can be stale (a
-	// crashed replica keeps its last publication) — consumers re-validate
-	// liveness before acting on a hit.
+	// membership into, and the only way routing sees prefix caches.
+	// Entries can be stale (a crashed replica keeps its last publication)
+	// — consumers re-validate liveness before acting on a hit.
 	prefixIdx *kvcache.GlobalIndex
 	// xferBytesPerToken is the served model's KV footprint per token,
 	// cached for transfer pricing. Immutable after New.
@@ -346,9 +308,10 @@ type gatewayReplica struct {
 	// on the loop goroutine); nil outside the disagg prefill tier.
 	pending map[uint64]pendingHandoff
 
-	// kvMu guards the prefix cache. Submitters probe it for routing
-	// affinity; the serving loop pins prefixes at admission and unpins on
-	// completion. Lock order: mu may be taken before kvMu, never after.
+	// kvMu guards the prefix cache. The serving loop pins prefixes at
+	// admission and unpins on completion, publishing membership changes to
+	// the global index; submitters never take it. Lock order: mu may be
+	// taken before kvMu, never after.
 	kvMu sync.Mutex
 	kv   *kvcache.Manager // guarded by kvMu
 
@@ -415,33 +378,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Replicas < 0 {
 		return nil, fmt.Errorf("server: negative replica count")
 	}
-	if cfg.Scheduler != nil && cfg.SchedulerFactory != nil {
-		return nil, fmt.Errorf("server: both Scheduler and SchedulerFactory set")
+	if cfg.SchedulerFactory == nil {
+		return nil, fmt.Errorf("server: nil SchedulerFactory")
 	}
 	scheds := make([]sched.Scheduler, cfg.Replicas)
-	switch {
-	case cfg.SchedulerFactory != nil:
-		for i := range scheds {
-			if scheds[i] = cfg.SchedulerFactory(); scheds[i] == nil {
-				return nil, fmt.Errorf("server: SchedulerFactory returned nil")
-			}
+	for i := range scheds {
+		if scheds[i] = cfg.SchedulerFactory(); scheds[i] == nil {
+			return nil, fmt.Errorf("server: SchedulerFactory returned nil")
 		}
-	case cfg.Scheduler != nil:
-		if cfg.Replicas > 1 {
-			return nil, fmt.Errorf("server: %d replicas require SchedulerFactory (schedulers must not be shared)", cfg.Replicas)
-		}
-		scheds[0] = cfg.Scheduler
-	default:
-		return nil, fmt.Errorf("server: nil scheduler")
 	}
 	if cfg.Timescale == 0 {
 		cfg.Timescale = 1
 	}
 	if cfg.Timescale < 0 {
 		return nil, fmt.Errorf("server: negative timescale")
-	}
-	if cfg.MaxDecodeTokens == 0 {
-		cfg.MaxDecodeTokens = 4096
 	}
 	if cfg.StreamBuffer == 0 {
 		cfg.StreamBuffer = 256
@@ -485,12 +435,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.PrefillReplicas < 1 || cfg.PrefillReplicas >= cfg.Replicas {
 			return nil, fmt.Errorf("server: %d prefill replicas leaves no decode tier (replicas %d)", cfg.PrefillReplicas, cfg.Replicas)
 		}
-		if cfg.StrictestTBT == 0 {
-			cfg.StrictestTBT = 50 * time.Millisecond
-		}
-		if cfg.StrictestTBT < 0 {
-			return nil, fmt.Errorf("server: negative strictest TBT")
-		}
 		if cfg.TransferBandwidth == 0 {
 			cfg.TransferBandwidth = 64e9
 		}
@@ -498,7 +442,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: negative transfer bandwidth")
 		}
 		if cfg.MaxDecodeBatch == 0 {
-			cfg.MaxDecodeBatch = disagg.DeriveDecodeBatch(cfg.Model, sim.FromDuration(cfg.StrictestTBT), 2048)
+			cfg.MaxDecodeBatch = disagg.DeriveDecodeBatch(cfg.Model, strictestTBT(cfg.Classes), 2048)
 		}
 		if cfg.MaxDecodeBatch < 1 {
 			return nil, fmt.Errorf("server: decode batch cap %d", cfg.MaxDecodeBatch)
@@ -540,9 +484,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.loadOf = func(i int) int { return int(s.reps[i].load.Load()) }
 	s.snapOf = func(i int) replica.LoadSnapshot { return s.reps[i].loadSnapshot() }
-	if cfg.GlobalPrefixIndex || cfg.KVTransferBandwidth > 0 {
-		s.prefixIdx = kvcache.NewGlobalIndex(cfg.Replicas)
-	}
+	s.prefixIdx = kvcache.NewGlobalIndex(cfg.Replicas)
 	s.xferBytesPerToken = cfg.Model.Model.KVBytesPerToken()
 	if cfg.Mode == "disagg" {
 		s.prefillReps = cfg.PrefillReplicas
@@ -580,6 +522,26 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	return s, nil
+}
+
+// maxDecodeTokens bounds a submission's declared output length so stream
+// buffers stay sane.
+const maxDecodeTokens = 4096
+
+// strictestTBT is the tightest inter-token SLO among the interactive
+// classes — the TBT a disagg decode tier must sustain — or 50 ms when no
+// class is interactive.
+func strictestTBT(classes []qos.Class) sim.Time {
+	tbt := sim.Time(0)
+	for _, c := range classes {
+		if c.Kind == qos.Interactive && (tbt == 0 || c.SLO.TBT < tbt) {
+			tbt = c.SLO.TBT
+		}
+	}
+	if tbt == 0 {
+		return 50 * sim.Millisecond
+	}
+	return tbt
 }
 
 // vnow is the current virtual time. The wall-clock origin and timescale are
@@ -633,9 +595,9 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 	if sub.PromptTokens <= 0 {
 		return &SubmissionError{Field: "prompt_tokens", Msg: fmt.Sprintf("%d, must be positive", sub.PromptTokens)}
 	}
-	if sub.DecodeTokens <= 0 || sub.DecodeTokens > s.cfg.MaxDecodeTokens {
+	if sub.DecodeTokens <= 0 || sub.DecodeTokens > maxDecodeTokens {
 		return &SubmissionError{Field: "decode_tokens",
-			Msg: fmt.Sprintf("%d outside [1,%d]", sub.DecodeTokens, s.cfg.MaxDecodeTokens)}
+			Msg: fmt.Sprintf("%d outside [1,%d]", sub.DecodeTokens, maxDecodeTokens)}
 	}
 	app := sub.App
 	if app == "" {
@@ -722,27 +684,22 @@ func (s *Server) pick(req *request.Request) int {
 }
 
 // pickOver runs the configured balancer over the first n replicas for a
-// request expecting decodeTokens output tokens. With the global prefix
-// index enabled, prefix probes read epoch-stamped membership snapshots —
-// no replica cache lock is taken on this path.
+// request expecting decodeTokens output tokens. Prefix probes read the
+// global index's epoch-stamped membership snapshots — no replica cache
+// lock is taken on this path.
 func (s *Server) pickOver(n int, req *request.Request, decodeTokens int) int {
 	if n == 1 {
 		return 0
 	}
 	chain := req.PrefixHashes
 	if sb, ok := s.balancer.(cluster.SnapshotBalancer); ok {
-		if pb, ok := s.balancer.(cluster.PrefixSnapshotBalancer); ok && s.prefixIdx != nil && len(chain) > 0 {
+		if pb, ok := s.balancer.(cluster.PrefixSnapshotBalancer); ok && len(chain) > 0 {
 			return pb.PickPrefixPredicted(n, s.loadOf, s.snapOf, s.indexMatch(chain), req.PromptTokens, decodeTokens)
 		}
 		return sb.PickPredicted(n, s.loadOf, s.snapOf, req.PromptTokens, decodeTokens)
 	}
 	if pr, ok := s.balancer.(cluster.PrefixRouter); ok && len(chain) > 0 {
-		if s.prefixIdx != nil {
-			return pr.PickPrefix(n, s.loadOf, s.indexMatch(chain))
-		}
-		return pr.PickPrefix(n, s.loadOf, func(j int) int {
-			return s.reps[j].matchTokens(chain)
-		})
+		return pr.PickPrefix(n, s.loadOf, s.indexMatch(chain))
 	}
 	return s.balancer.PickIndex(n, s.loadOf)
 }
@@ -770,7 +727,7 @@ func (s *Server) transferSeconds(tokens int) float64 {
 // re-validates the source's liveness and coverage before charging the
 // interconnect, falling back to recompute.
 func (s *Server) planTransfer(req *request.Request, chosen, tierN int) (src, tokens int) {
-	if s.cfg.KVTransferBandwidth <= 0 || s.prefixIdx == nil || len(req.PrefixHashes) == 0 {
+	if s.cfg.KVTransferBandwidth <= 0 || len(req.PrefixHashes) == 0 {
 		return -1, 0
 	}
 	holder, best := s.prefixIdx.BestMatch(tierN, req.PrefixHashes)
@@ -807,19 +764,10 @@ func (s *Server) transferableMatch(src int, chain []uint64) int {
 	return s.prefixIdx.MatchTokens(src, chain)
 }
 
-// matchTokens probes the replica's prefix cache for routing affinity. Only
-// used when the global prefix index is disabled — with it, routing probes
-// the index and never takes kvMu.
-func (rp *gatewayReplica) matchTokens(chain []uint64) int {
-	rp.kvMu.Lock()
-	defer rp.kvMu.Unlock()
-	return rp.kv.MatchTokens(chain)
-}
-
 // publishIndexLocked exports this replica's cache membership into the
 // global prefix index when it changed since the last publication — warm
 // steady-state traffic (pure re-pins) publishes nothing. Caller holds
-// kvMu and has checked srv.prefixIdx != nil.
+// kvMu.
 //
 //qoserve:locked kvMu
 func (rp *gatewayReplica) publishIndexLocked() {
@@ -956,9 +904,7 @@ func (rp *gatewayReplica) admit() bool {
 			rp.reloadDebt += time.Duration(rp.kv.ReloadSeconds(res.ReloadTokens) * float64(time.Second))
 		}
 	}
-	if srv.prefixIdx != nil {
-		rp.publishIndexLocked()
-	}
+	rp.publishIndexLocked()
 	rp.kvMu.Unlock()
 	// Counter and snapshot publication is batched to one update per admit
 	// cycle: the per-request Adds used to dominate the kvMu hold time on

@@ -28,6 +28,11 @@ import (
 // milliseconds.
 const testTimescale = 50
 
+// only is a SchedulerFactory for a one-replica server that hands out s.
+func only(s sched.Scheduler) func() sched.Scheduler {
+	return func() sched.Scheduler { return s }
+}
+
 // newTestServer runs one replica at testTimescale.
 func newTestServer(t *testing.T, s sched.Scheduler) *Server {
 	t.Helper()
@@ -39,11 +44,11 @@ func newTestServer(t *testing.T, s sched.Scheduler) *Server {
 func newFrameServer(t *testing.T, s sched.Scheduler, frame int) *Server {
 	t.Helper()
 	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  s,
-		Classes:    qos.Table3(),
-		Timescale:  testTimescale,
-		EventFrame: frame,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: only(s),
+		Classes:          qos.Table3(),
+		Timescale:        testTimescale,
+		EventFrame:       frame,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +167,13 @@ func TestServerValidation(t *testing.T) {
 	}
 
 	mc := model.Llama3_8B_A100_TP1()
-	if _, err := New(Config{Model: mc, Scheduler: nil, Classes: qos.Table3()}); err == nil {
+	if _, err := New(Config{Model: mc, Classes: qos.Table3()}); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := New(Config{Model: mc, Scheduler: qoserveSched()}); err == nil {
+	if _, err := New(Config{Model: mc, SchedulerFactory: only(qoserveSched())}); err == nil {
 		t.Error("no classes accepted")
 	}
-	if _, err := New(Config{Model: mc, Scheduler: qoserveSched(),
+	if _, err := New(Config{Model: mc, SchedulerFactory: only(qoserveSched()),
 		Classes: qos.Table3(), Timescale: -1}); err == nil {
 		t.Error("negative timescale accepted")
 	}

@@ -314,14 +314,11 @@ func (rp *gatewayReplica) releaseBatch() {
 	if len(rp.releaseQ) == 0 {
 		return
 	}
-	srv := rp.srv
 	rp.kvMu.Lock()
 	for _, id := range rp.releaseQ {
 		rp.kv.Release(id)
 	}
-	if srv.prefixIdx != nil {
-		rp.publishIndexLocked()
-	}
+	rp.publishIndexLocked()
 	rp.kvMu.Unlock()
 	rp.releaseQ = rp.releaseQ[:0]
 }
