@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGenerateRequest -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) ./internal/predictor
 	$(GO) test -run '^$$' -fuzz FuzzSortColumn -fuzztime $(FUZZTIME) ./internal/predictor
+	$(GO) test -run '^$$' -fuzz FuzzFitTree -fuzztime $(FUZZTIME) ./internal/predictor
 
 # Static analysis gate: the repo's own contract analyzers (determinism,
 # hot-path allocation, trace hooks, guarded fields, atomic-field

@@ -51,10 +51,10 @@ func BenchmarkChunkBudgetFeats(b *testing.B) {
 
 // TestTrainAllocCeiling caps forest training's allocations. Growth reuses
 // one set of scratch buffers for every node of every tree, so a default
-// 20-tree forest costs about 70 allocations — the column view, the
-// scratch, the PRNG, and each finished tree's node slice — where the
-// sort.Slice trainer it replaced made about 61,700. A per-node allocation
-// creeping back in would add thousands.
+// 20-tree forest costs about 76 allocations — the column view and its
+// level tables, the scratch, the PRNG, and each finished tree's node
+// slice — where the sort.Slice trainer it replaced made about 61,700. A
+// per-node allocation creeping back in would add thousands.
 func TestTrainAllocCeiling(t *testing.T) {
 	samples, err := profile.Collect(model.Llama3_8B_A100_TP1(), profile.Config{Seed: 1})
 	if err != nil {

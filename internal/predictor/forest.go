@@ -83,15 +83,21 @@ func (f *Forest) finalize() {
 
 // Train fits a random forest on profiled samples.
 func Train(samples []profile.Sample, cfg ForestConfig) (*Forest, error) {
+	f, _, err := train(samples, cfg)
+	return f, err
+}
+
+// train is Train, also reporting how its split searches were settled.
+func train(samples []profile.Sample, cfg ForestConfig) (*Forest, splitPaths, error) {
 	cfg = cfg.withDefaults()
 	if len(samples) < 2*cfg.Tree.withDefaults().MinLeaf {
-		return nil, fmt.Errorf("predictor: %d samples is too few to train", len(samples))
+		return nil, splitPaths{}, fmt.Errorf("predictor: %d samples is too few to train", len(samples))
 	}
 	if cfg.SampleFrac <= 0 || cfg.SampleFrac > 1 {
-		return nil, fmt.Errorf("predictor: sample fraction %v outside (0,1]", cfg.SampleFrac)
+		return nil, splitPaths{}, fmt.Errorf("predictor: sample fraction %v outside (0,1]", cfg.SampleFrac)
 	}
 	if cfg.SafetyMargin < 0 || cfg.SafetyMargin > 1 {
-		return nil, fmt.Errorf("predictor: safety margin %v outside [0,1]", cfg.SafetyMargin)
+		return nil, splitPaths{}, fmt.Errorf("predictor: safety margin %v outside [0,1]", cfg.SafetyMargin)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	treeCfg := cfg.Tree
@@ -122,7 +128,7 @@ func Train(samples []profile.Sample, cfg ForestConfig) (*Forest, error) {
 		f.trees = append(f.trees, g.fit(idx))
 	}
 	f.finalize()
-	return f, nil
+	return f, g.paths, nil
 }
 
 // Predict returns the mean prediction across trees, without the safety
@@ -250,10 +256,12 @@ func (n noMarginFeats) PredictSafeFeats(x [profile.FeatureCount]float64) sim.Tim
 // within budget, given the decode side of the batch. It returns 0 when even
 // a minimal chunk cannot fit.
 //
-// The latency surface is monotone in chunk size, so a binary search over
-// [0, maxChunk] suffices; with tree predictors the surface is piecewise
-// constant, and the search still converges to a safe (conservative) value
-// because PredictSafe is non-decreasing along the probed path.
+// The search is a binary search over [0, maxChunk] that keeps "lo fits
+// the budget, hi does not", so the result always fits: either 0, or a
+// chunk whose safe prediction is within budget. It is the largest such
+// chunk only where the prediction is non-decreasing in chunk size. A
+// trained forest need not be: where its piecewise-constant surface dips,
+// the search can stop short of a larger chunk that would also fit.
 //
 //qoserve:hotpath
 func ChunkBudget(p SafePredictor, decodeCtx []int, prefillCtx int, budget sim.Time, maxChunk int) int {

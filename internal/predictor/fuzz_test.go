@@ -2,11 +2,14 @@ package predictor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"qoserve/internal/model"
+	"qoserve/internal/profile"
 )
 
 // FuzzLoad ensures arbitrary bytes never panic the forest loader, and that
@@ -60,5 +63,75 @@ func FuzzSortColumn(f *testing.F) {
 			rows[i] = colEntry{v: v, y: float64(b >> 4)}
 		}
 		checkSortColumn(t, rows)
+	})
+}
+
+// FuzzFitTree requires FitTree to grow the legacy trainer's tree, bit for
+// bit, on arbitrary datasets of up to 64 rows. The first byte picks
+// MinLeaf, FeatureSubset and the feature-draw seed; the rest is read one
+// value per byte. Tag 7 (the low three bits) takes the next eight bytes
+// as raw float64 bits, so NaN, ±Inf, subnormals and continuous values all
+// occur; tag 6 is -0; other bytes are one of eight feature levels, or one
+// of 32 target levels of either sign, so ties are everywhere.
+func FuzzFitTree(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x05, 0, 32, 64, 96, 128, 8, 1, 33, 65, 97, 129, 16, 2, 34, 66, 98, 130, 24})
+	f.Add(bytes.Repeat([]byte{0x09, 0x20, 0x41, 0x06, 0x80, 0xa5, 0x3b}, 40))
+	f.Add(append([]byte{0x12, 7, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 6, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, bytes.Repeat([]byte{0x61, 0x22, 0x06}, 30)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		head, rest := data[0], data[1:]
+		next := func(target bool) (float64, bool) {
+			if len(rest) == 0 {
+				return 0, false
+			}
+			b := rest[0]
+			rest = rest[1:]
+			switch b & 7 {
+			case 7:
+				if len(rest) < 8 {
+					return 0, false
+				}
+				v := math.Float64frombits(binary.LittleEndian.Uint64(rest))
+				rest = rest[8:]
+				return v, true
+			case 6:
+				return math.Copysign(0, -1), true
+			}
+			if target {
+				return float64(b>>3) - 16, true
+			}
+			return float64(b >> 5), true
+		}
+		var samples []profile.Sample
+	rows:
+		for len(samples) < 64 {
+			var s profile.Sample
+			for i := range s.Features {
+				v, ok := next(false)
+				if !ok {
+					break rows
+				}
+				s.Features[i] = v
+			}
+			v, ok := next(true)
+			if !ok {
+				break
+			}
+			s.Latency = v
+			samples = append(samples, s)
+		}
+		cfg := TreeConfig{MinLeaf: 1 + int(head&3), FeatureSubset: int(head>>2) % (profile.FeatureCount + 1)}
+		pickFor := func() func(int) []int {
+			r := rand.New(rand.NewSource(int64(head >> 5)))
+			return func(k int) []int { return r.Perm(profile.FeatureCount)[:k] }
+		}
+		got := FitTree(samples, nil, cfg, pickFor())
+		want := legacyFitTree(samples, nil, cfg, pickFor())
+		if !bytes.Equal(treeBits(got), treeBits(want)) {
+			t.Fatalf("tree differs from the legacy trainer on %d rows, %+v", len(samples), cfg)
+		}
 	})
 }

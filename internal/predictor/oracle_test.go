@@ -3,6 +3,7 @@ package predictor
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -298,6 +299,95 @@ func TestFitTreeMatchesLegacyOnTies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFitTreeMatchesLegacyOnMixedData extends the legacy equivalence to
+// the data the histogram search must hand back to the exact one or get
+// right on its own: continuous columns (more levels than small nodes have
+// samples), -0 beside +0, duplicated columns (exact ties between
+// features), targets of both signs and mixed magnitudes, and — in every
+// third set — NaN and ±Inf in features or targets.
+func TestFitTreeMatchesLegacyOnMixedData(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		samples := mixedSamples(rng, 8+rng.Intn(300), seed%3 == 2)
+		cfg := TreeConfig{MinLeaf: 1 + int(seed%4), FeatureSubset: int(seed % 5)}
+		pickFor := func() func(int) []int {
+			r := rand.New(rand.NewSource(seed))
+			return func(k int) []int { return r.Perm(profile.FeatureCount)[:k] }
+		}
+		got := FitTree(samples, nil, cfg, pickFor())
+		want := legacyFitTree(samples, nil, cfg, pickFor())
+		if !bytes.Equal(treeBits(got), treeBits(want)) {
+			t.Fatalf("seed %d: tree differs from the legacy trainer", seed)
+		}
+	}
+}
+
+// mixedSamples draws n samples whose columns each take one shape: a few
+// levels (0 spelled both -0 and +0), continuous draws, a copy of the
+// previous column, or a few widely spaced levels. Targets mix signs and
+// magnitudes over nine decades. With nonFinite, about one value in fifty
+// is NaN or ±Inf.
+func mixedSamples(rng *rand.Rand, n int, nonFinite bool) []profile.Sample {
+	samples := make([]profile.Sample, n)
+	for f := 0; f < profile.FeatureCount; f++ {
+		kind := rng.Intn(4)
+		if f == 0 && kind == 2 {
+			kind = 0
+		}
+		levels := 1 + rng.Intn(8)
+		for i := range samples {
+			var v float64
+			switch kind {
+			case 0:
+				v = float64(rng.Intn(levels))
+				if v == 0 && rng.Intn(2) == 0 {
+					v = math.Copysign(0, -1)
+				}
+			case 1:
+				v = rng.NormFloat64() * 100
+			case 2:
+				v = samples[i].Features[f-1]
+			case 3:
+				v = float64(rng.Intn(levels)-levels/2) * 1e6
+			}
+			samples[i].Features[f] = v
+		}
+	}
+	for i := range samples {
+		samples[i].Latency = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+	}
+	if nonFinite {
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		for i := range samples {
+			if rng.Intn(50) != 0 {
+				continue
+			}
+			v := special[rng.Intn(len(special))]
+			if f := rng.Intn(profile.FeatureCount + 1); f < profile.FeatureCount {
+				samples[i].Features[f] = v
+			} else {
+				samples[i].Latency = v
+			}
+		}
+	}
+	return samples
+}
+
+// treeBits encodes a tree's nodes bit for bit. Unlike treeBytes (Save's
+// JSON), it carries the NaN and ±Inf thresholds and leaves that
+// non-finite training data produces.
+func treeBits(tr *Tree) []byte {
+	var b []byte
+	for _, n := range tr.nodes {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(n.feature)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.threshold))
+		b = binary.LittleEndian.AppendUint32(b, uint32(n.left))
+		b = binary.LittleEndian.AppendUint32(b, uint32(n.right))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.value))
+	}
+	return b
 }
 
 // TestQoservedForestDigests pins the SHA-256 of Save() for the forests

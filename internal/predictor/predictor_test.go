@@ -207,6 +207,54 @@ func TestChunkBudgetEdges(t *testing.T) {
 	}
 }
 
+// TestChunkBudgetForestFits checks the invariant ChunkBudget promises for
+// the three qoserved forests (profile seed 1, forest seed 1), which are not
+// monotone in chunk size: the chunk is within [0, maxChunk], a non-zero
+// chunk's safe prediction is within budget, and maxChunk is returned
+// whenever it fits.
+func TestChunkBudgetForestFits(t *testing.T) {
+	for _, hw := range hardware {
+		samples, err := profile.Collect(hw.mc, profile.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Train(samples, ForestConfig{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		safe := func(x [profile.FeatureCount]float64, chunk, prefillCtx int) sim.Time {
+			x[profile.FeatChunkTokens] = float64(chunk)
+			x[profile.FeatPrefillCtx] = float64(prefillCtx)
+			return f.PredictSafeFeats(x)
+		}
+		for _, nDec := range []int{0, 1, 4, 16, 64} {
+			for _, ctx := range []int{0, 1024, 4096, 12800} {
+				decodes := make([]int, nDec)
+				for i := range decodes {
+					decodes[i] = ctx
+				}
+				x := DecodeFeats(decodes)
+				for _, prefillCtx := range []int{0, 2048} {
+					for _, budget := range []sim.Time{sim.Millisecond, 10 * sim.Millisecond, 25 * sim.Millisecond, 50 * sim.Millisecond, 100 * sim.Millisecond, 400 * sim.Millisecond} {
+						for _, maxChunk := range []int{1, 256, 4096} {
+							got := ChunkBudget(f, decodes, prefillCtx, budget, maxChunk)
+							switch {
+							case got < 0 || got > maxChunk:
+								t.Fatalf("%s: chunk %d outside [0, %d]", hw.name, got, maxChunk)
+							case got > 0 && safe(x, got, prefillCtx) > budget:
+								t.Fatalf("%s: %d decodes at %d, prefill ctx %d: chunk %d predicted %v over budget %v",
+									hw.name, nDec, ctx, prefillCtx, got, safe(x, got, prefillCtx), budget)
+							case got != maxChunk && safe(x, maxChunk, prefillCtx) <= budget:
+								t.Fatalf("%s: chunk %d, but maxChunk %d fits budget %v", hw.name, got, maxChunk, budget)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestChunkBudgetUnderPredictionBias: with a forest, the margin must make
 // the realized (true) latency of the chosen chunk exceed the budget only
 // rarely and mildly. This is the "err on the side of under-predicting"
@@ -269,6 +317,9 @@ func BenchmarkChunkBudget(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainForest times one default forest and reports, as
+// fallback/split, the share of split searches that ran the exact search
+// instead of taking a certified histogram answer.
 func BenchmarkTrainForest(b *testing.B) {
 	b.ReportAllocs()
 	mc := model.Llama3_8B_A100_TP1()
@@ -276,12 +327,14 @@ func BenchmarkTrainForest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var paths splitPaths
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(samples, ForestConfig{Seed: 2}); err != nil {
+		if _, paths, err = train(samples, ForestConfig{Seed: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(paths.fallbacks())/float64(paths.certified+paths.fallbacks()), "fallback/split")
 }
 
 func TestForestSaveLoadRoundTrip(t *testing.T) {

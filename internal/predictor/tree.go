@@ -14,18 +14,24 @@
 // their results depend on every split, threshold and leaf. Train is
 // therefore exact, not approximate: the random stream is drawn in a fixed
 // order (bootstrap indices, then one rng.Perm-equivalent feature draw per
-// split), each node's column is sorted by sortColumn — a specialization
-// of the standard library's pdqsort that makes sort.Slice's comparisons
-// and swaps, so tied values land where sort.Slice puts them — and split
-// gains are float sums taken in that sorted order. Growth reuses one set
-// of scratch buffers for every node, partitioning each node's index list
-// stably in place. oracle_test.go holds the trainer's earlier, naive form
-// and requires Save() output identical to it.
+// split), and every split is the one an exact search picks — each node's
+// column sorted by sortColumn, a specialization of the standard library's
+// pdqsort that makes sort.Slice's comparisons and swaps, with split gains
+// taken as float sums in that sorted order. Most nodes never run that
+// search: histSplit (histsplit.go) sums targets per distinct feature value
+// instead, and its answer is taken only where a rounding-error bound
+// proves the exact search picks the same split; near-ties, non-finite
+// data and columns with far more values than the node has samples go to
+// the exact search. Growth reuses one set of scratch buffers for every
+// node, partitioning each node's index list stably in place.
+// oracle_test.go holds the trainer's earlier, naive form and requires
+// Save() output identical to it.
 package predictor
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"qoserve/internal/profile"
 )
@@ -64,9 +70,19 @@ func (c TreeConfig) withDefaults() TreeConfig {
 // trainSet is a column-oriented view of the samples: cols[f][i] is sample
 // i's value of feature f. Train builds it once per forest and every tree
 // and node reads it by sample index.
+//
+// It also holds the level tables histSplit reads: rank[f][i] is sample
+// i's dense rank among column f's distinct values, and levels[f][r] is
+// the value of rank r, ascending (-0 and +0 share a level). When any
+// feature or target is NaN or ±Inf, exact is set and the tables are not
+// built: every split then takes the exact search.
 type trainSet struct {
 	cols    [profile.FeatureCount][]float64
 	targets []float64
+
+	rank   [profile.FeatureCount][]int32
+	levels [profile.FeatureCount][]float64
+	exact  bool
 }
 
 func newTrainSet(samples []profile.Sample) trainSet {
@@ -78,8 +94,33 @@ func newTrainSet(samples []profile.Sample) trainSet {
 	for i, s := range samples {
 		for f, v := range s.Features {
 			ts.cols[f][i] = v
+			ts.exact = ts.exact || math.IsNaN(v) || math.IsInf(v, 0)
 		}
 		ts.targets[i] = s.Latency
+		ts.exact = ts.exact || math.IsNaN(s.Latency) || math.IsInf(s.Latency, 0)
+	}
+	if ts.exact {
+		return ts
+	}
+	n := len(samples)
+	ranks := make([]int32, profile.FeatureCount*n)
+	vals := make([]float64, profile.FeatureCount*n)
+	for f, col := range ts.cols {
+		lv := vals[f*n : f*n : (f+1)*n]
+		lv = append(lv, col...)
+		sort.Float64s(lv)
+		k := 0
+		for _, v := range lv {
+			if k == 0 || v != lv[k-1] {
+				lv[k] = v
+				k++
+			}
+		}
+		ts.levels[f] = lv[:k:k]
+		ts.rank[f] = ranks[f*n : (f+1)*n]
+		for i, v := range col {
+			ts.rank[f][i] = int32(sort.SearchFloat64s(ts.levels[f], v))
+		}
 	}
 	return ts
 }
@@ -97,14 +138,27 @@ type grower struct {
 	col   []colEntry // one node's (value, target) column under sort
 	spill []int      // right-hand side of a node's partition
 	nodes []treeNode // the tree being grown
+
+	ys    []float64  // one node's targets in index order (histSplit)
+	hist  []levelBin // per-level sums of one node and feature; zero between uses
+	paths splitPaths // how each split search was settled
+	// gains, when non-nil, collects every candidate gain histSplit
+	// computes, in scan order. Only tests set it.
+	gains []float64
 }
 
 func newGrower(ts trainSet, cfg TreeConfig, maxNode int) *grower {
+	maxLevels := 0
+	for _, lv := range ts.levels {
+		maxLevels = max(maxLevels, len(lv))
+	}
 	return &grower{
 		ts:    ts,
 		cfg:   cfg.withDefaults(),
 		col:   make([]colEntry, maxNode),
 		spill: make([]int, 0, maxNode),
+		ys:    make([]float64, maxNode),
+		hist:  make([]levelBin, maxLevels),
 	}
 }
 
@@ -144,13 +198,7 @@ func (g *grower) grow(idx []int, depth int) int32 {
 		return self
 	}
 
-	bestFeat, bestThresh, bestGain := -1, 0.0, 0.0
-	for _, f := range g.features() {
-		thresh, gain, ok := g.bestSplit(idx, f)
-		if ok && gain > bestGain {
-			bestFeat, bestThresh, bestGain = f, thresh, gain
-		}
-	}
+	bestFeat, bestThresh := g.split(idx, g.features())
 	if bestFeat < 0 {
 		return self
 	}
@@ -164,6 +212,29 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	r := g.grow(idx[nl:], depth+1)
 	g.nodes[self] = treeNode{feature: bestFeat, threshold: bestThresh, left: l, right: r}
 	return self
+}
+
+// split returns the best split of the node over idx among feats, or
+// feature -1 for none: histSplit's answer when it is certified, else the
+// exact search's.
+func (g *grower) split(idx, feats []int) (feat int, thresh float64) {
+	if feat, thresh, ok := g.histSplit(idx, feats); ok {
+		return feat, thresh
+	}
+	return g.exactSplit(idx, feats)
+}
+
+// exactSplit is the exact search: bestSplit on each feature in turn,
+// keeping the first strictly largest positive gain.
+func (g *grower) exactSplit(idx, feats []int) (feat int, thresh float64) {
+	bestFeat, bestThresh, bestGain := -1, 0.0, 0.0
+	for _, f := range feats {
+		thresh, gain, ok := g.bestSplit(idx, f)
+		if ok && gain > bestGain {
+			bestFeat, bestThresh, bestGain = f, thresh, gain
+		}
+	}
+	return bestFeat, bestThresh
 }
 
 // features returns the features one split considers: pick's draw when

@@ -390,7 +390,10 @@ func Generate(spec Spec) ([]*request.Request, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	reqs := make([]*request.Request, 0, spec.Requests)
+	// One slab backs every request: two allocations per trace instead of
+	// one per request.
+	slab := make([]request.Request, spec.Requests)
+	reqs := make([]*request.Request, spec.Requests)
 	var t sim.Time
 	for i := 0; i < spec.Requests; i++ {
 		t = spec.Arrivals.Next(rng, t)
@@ -403,7 +406,7 @@ func Generate(spec Spec) ([]*request.Request, error) {
 		if tier.Dataset != nil {
 			ds = *tier.Dataset
 		}
-		r := &request.Request{
+		slab[i] = request.Request{
 			ID:           uint64(i + 1),
 			App:          tier.Class.Name,
 			Class:        tier.Class,
@@ -412,7 +415,7 @@ func Generate(spec Spec) ([]*request.Request, error) {
 			PromptTokens: ds.Prompt.Sample(rng),
 			DecodeTokens: ds.Decode.Sample(rng),
 		}
-		reqs = append(reqs, r)
+		reqs[i] = &slab[i]
 	}
 	return reqs, nil
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -275,6 +277,50 @@ func TestSpecValidation(t *testing.T) {
 	bad.Dataset.Prompt.P90 = 1
 	if _, err := Generate(bad); err == nil {
 		t.Error("p90 < p50 accepted")
+	}
+}
+
+// TestGenerateTraceDigest pins the SHA-256 of WriteTrace's bytes for two
+// specs — Table 3 tiers with low-priority requests under Poisson
+// arrivals, and bursty Gamma arrivals over per-tier dataset overrides —
+// so a change in how Generate builds or draws requests cannot go
+// unnoticed.
+func TestGenerateTraceDigest(t *testing.T) {
+	poisson := defaultSpec(3000)
+	poisson.Tiers = WithLowPriority(poisson.Tiers, 0.3)
+	code, conv := AzureCode, AzureConv
+	classes := qos.Table3()
+	bursty := Spec{
+		Dataset: ShareGPT,
+		Tiers: []Tier{
+			{Class: classes[0], Fraction: 0.4, Dataset: &conv},
+			{Class: classes[1], Fraction: 0.2},
+			{Class: classes[2], Fraction: 0.4, Dataset: &code},
+		},
+		Arrivals: Gamma{QPS: 8, CV: 3},
+		Requests: 32000,
+		Seed:     7,
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"poisson", poisson, "f7c80bd74cb68c04f1fbe9ad1ca840e38b2a40bf09b3b956b64763a1de606261"},
+		{"bursty", bursty, "5bfb97697eec9a0822fe18647cdefb67acd229b56f776c896a4a8f1e8667f67d"},
+	} {
+		reqs, err := Generate(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: trace digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
