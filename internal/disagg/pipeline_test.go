@@ -1,6 +1,9 @@
 package disagg
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"qoserve/internal/metrics"
@@ -143,5 +146,29 @@ func TestPipelineInteractiveTTFT(t *testing.T) {
 	ttft, ok := trace[0].TTFT()
 	if !ok || ttft > sim.Second {
 		t.Errorf("TTFT = %v ok=%v", ttft, ok)
+	}
+}
+
+// TestPipelineOutcomeDigest pins the end-to-end pipeline's per-request
+// outcomes (first-token and finish times, violation flags) to a digest
+// recorded before the decode nodes ran on the shared replica core. A
+// four-request decode cap keeps decode queues waiting behind full batches.
+// The digest must never be edited to make this pass.
+func TestPipelineOutcomeDigest(t *testing.T) {
+	cfg := pipelineConfig(t)
+	cfg.MaxDecodeBatch = 4
+	res, err := RunPipeline(cfg, gen(t, 120, 6), sim.Forever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "end %d transfer %d\n", res.Summary.End, res.TransferTimeP50)
+	for _, o := range res.Summary.Outcomes {
+		fmt.Fprintf(h, "%d %t %d %t %d %d %d %t\n",
+			o.ID, o.FirstToken, o.TTFT, o.Completed, o.TTLT, o.MaxTBT, o.TBTViolations, o.Violated)
+	}
+	const want = "ba614d6d5c5c22c6a8b5e56e6bfb4e20c9d33e1d2c8297ca00f08a797ab6751a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("outcome digest %s, want %s", got, want)
 	}
 }

@@ -110,16 +110,26 @@ func TestDisaggReplayIsDeterministic(t *testing.T) {
 		t.Fatalf("deterministic /metrics counters diverged:\nA:\n%s\nB:\n%s",
 			strings.Join(am, "\n"), strings.Join(bm, "\n"))
 	}
-	// A crash-free run must not exercise the fault path at all.
-	for _, line := range am {
-		for _, zero := range []string{
-			"qoserve_gateway_retries_total ",
-			"qoserve_gateway_lost_tokens_total ",
-			"qoserve_gateway_failed_requests_total ",
-		} {
-			if strings.HasPrefix(line, zero) && !strings.HasSuffix(line, " 0") {
-				t.Errorf("fault-path counter nonzero on a healthy run: %s", line)
-			}
-		}
+	// Both replays must also match the tallies and counters recorded
+	// before the decode tier ran on the shared replica core. A crash-free
+	// run exercises no fault path, so those counters are zero.
+	wantClass := []ClassReport{{Name: "Q1", Completed: 30}, {Name: "Q2", Completed: 15}, {Name: "Q3", Completed: 15}}
+	if a.Completed != 60 || a.Violated != 0 || a.Relegated != 0 || a.Tokens != 25430 || !reflect.DeepEqual(a.PerClass, wantClass) {
+		t.Errorf("tallies moved from the pinned replay: completed=%d violated=%d relegated=%d tokens=%d per-class %+v",
+			a.Completed, a.Violated, a.Relegated, a.Tokens, a.PerClass)
+	}
+	wantCounters := []string{
+		"qoserve_requests_total 60",
+		"qoserve_tokens_total 25370",
+		"qoserve_prefill_tokens_total 24620",
+		"qoserve_decode_tokens_total 750",
+		"qoserve_disagg_handoffs_total 60",
+		"qoserve_disagg_transfer_tokens_total 24620",
+		"qoserve_gateway_retries_total 0",
+		"qoserve_gateway_lost_tokens_total 0",
+		"qoserve_gateway_failed_requests_total 0",
+	}
+	if !reflect.DeepEqual(am, wantCounters) {
+		t.Errorf("/metrics counters moved from the pinned replay:\n%s", strings.Join(am, "\n"))
 	}
 }
