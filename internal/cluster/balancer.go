@@ -2,45 +2,38 @@ package cluster
 
 import (
 	"sync/atomic"
-
-	"qoserve/internal/replica"
-	"qoserve/internal/request"
 )
-
-// Balancer routes an arriving request to one replica of a cluster. The
-// paper's deployments use round-robin (§4.1.1); least-loaded routing is
-// provided as an extension ablation (see the "lb" experiment).
-type Balancer interface {
-	// Pick returns the index of the replica that should serve r.
-	Pick(replicas []*replica.Replica, r *request.Request) int
-}
 
 // GatewayBalancer is the index-based routing core shared by the simulated
 // Cluster and the live serving gateway (internal/server): it picks one of n
 // live targets without materializing a target slice. load reports the
 // current number of unfinished requests routed to target i; balancers that
 // do not consult load ignore it. Implementations document whether they are
-// safe for concurrent pickers.
+// safe for concurrent pickers. The paper's deployments use round-robin
+// (§4.1.1); least-loaded routing is an extension ablation (see the "lb"
+// experiment).
 type GatewayBalancer interface {
 	// PickIndex returns a target in [0, n). n is always >= 1.
 	PickIndex(n int, load func(int) int) int
 }
 
-// RoundRobin cycles through replicas in order, the paper's default.
+// RoundRobin cycles through targets in order, the paper's default and the
+// simulated Cluster's. It is for a single picker; the live gateway uses
+// AtomicRoundRobin.
 type RoundRobin struct {
 	next int
 }
 
-// Pick returns successive indices modulo the cluster size. The slice may
+// PickIndex returns successive indices modulo n. The target count may
 // shrink between calls (health-aware routing passes only the live
 // replicas), so the cursor is clamped before use rather than trusted from
 // the previous call.
-func (b *RoundRobin) Pick(replicas []*replica.Replica, _ *request.Request) int {
-	if b.next >= len(replicas) {
+func (b *RoundRobin) PickIndex(n int, _ func(int) int) int {
+	if b.next >= n {
 		b.next = 0
 	}
 	i := b.next
-	b.next = (b.next + 1) % len(replicas)
+	b.next = (b.next + 1) % n
 	return i
 }
 
@@ -78,18 +71,6 @@ func (LeastLoaded) PickIndex(n int, load func(int) int) int {
 		}
 	}
 	return best
-}
-
-// LeastPending routes to the replica whose scheduler currently holds the
-// fewest unfinished requests; the simulation-side adapter over LeastLoaded.
-type LeastPending struct{}
-
-// Pick returns the index of the least-loaded replica (lowest index wins
-// ties, keeping the simulation deterministic).
-func (LeastPending) Pick(replicas []*replica.Replica, _ *request.Request) int {
-	return LeastLoaded{}.PickIndex(len(replicas), func(i int) int {
-		return replicas[i].Scheduler().Pending()
-	})
 }
 
 // PrefixRouter is the prefix-aware extension of GatewayBalancer: match

@@ -333,22 +333,19 @@ func TestRoundRobinSurvivesShrinkingCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr := &RoundRobin{}
-	full := c.Replicas()
+	full := len(c.Replicas())
 	for i := 0; i < 3; i++ {
-		rr.Pick(full, nil) // cursor now wraps to 0 via 2
+		rr.PickIndex(full, nil) // cursor now wraps to 0 via 2
 	}
-	rr.Pick(full, nil) // cursor at 1
-	rr.Pick(full, nil) // cursor at 2
-	shrunk := full[:1]
-	if got := rr.Pick(shrunk, nil); got != 0 {
+	rr.PickIndex(full, nil) // cursor at 1
+	rr.PickIndex(full, nil) // cursor at 2
+	if got := rr.PickIndex(1, nil); got != 0 {
 		t.Fatalf("pick on shrunk set = %d, want 0", got)
 	}
 	// And across many alternating sizes every pick stays in range.
-	sets := [][]int{{3}, {1}, {2}, {1}, {3}, {2}}
-	for _, s := range sets {
-		reps := full[:s[0]]
-		if got := rr.Pick(reps, nil); got < 0 || got >= len(reps) {
-			t.Fatalf("pick = %d out of range for %d replicas", got, len(reps))
+	for _, n := range []int{3, 1, 2, 1, 3, 2} {
+		if got := rr.PickIndex(n, nil); got < 0 || got >= n {
+			t.Fatalf("pick = %d out of range for %d replicas", got, n)
 		}
 	}
 }

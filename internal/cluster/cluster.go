@@ -41,8 +41,13 @@ type Cluster struct {
 	cfg      model.Config
 	factory  SchedulerFactory
 	replicas []*replica.Replica
-	balancer Balancer
+	balancer GatewayBalancer
 	tracer   trace.Tracer
+
+	// up is Submit's scratch list of the healthy replicas, and upLoad the
+	// balancer's load probe over it: each one's unfinished requests.
+	up     []*replica.Replica
+	upLoad func(int) int
 
 	// Failure state.
 	health   []Health
@@ -68,6 +73,7 @@ func New(engine *sim.Engine, cfg model.Config, n int, factory SchedulerFactory) 
 		recovery: DefaultRecovery(),
 		health:   make([]Health, n),
 	}
+	c.upLoad = func(i int) int { return c.up[i].Scheduler().Pending() }
 	for i := 0; i < n; i++ {
 		rep, err := replica.New(engine, cfg, factory())
 		if err != nil {
@@ -80,7 +86,9 @@ func New(engine *sim.Engine, cfg model.Config, n int, factory SchedulerFactory) 
 }
 
 // SetBalancer replaces the routing policy (before submitting requests).
-func (c *Cluster) SetBalancer(b Balancer) { c.balancer = b }
+// Picks run on the simulation goroutine, so single-picker balancers such
+// as RoundRobin are fine.
+func (c *Cluster) SetBalancer(b GatewayBalancer) { c.balancer = b }
 
 // SetRecovery replaces the crash-recovery policy (zero fields take
 // defaults). Call before submitting requests.
@@ -104,35 +112,17 @@ func (c *Cluster) SetTracer(t trace.Tracer) {
 //
 //qoserve:outcome requeue
 func (c *Cluster) Submit(r *request.Request) {
-	healthy := c.healthyReplicas()
-	if len(healthy) == 0 {
+	c.up = c.up[:0]
+	for i, rep := range c.replicas {
+		if c.health[i].Up {
+			c.up = append(c.up, rep)
+		}
+	}
+	if len(c.up) == 0 {
 		c.park(r)
 		return
 	}
-	picked := healthy[c.balancer.Pick(healthy, r)]
-	picked.Submit(r)
-}
-
-// healthyReplicas returns the live subset in index order. When every
-// replica is up it returns the backing slice without copying, so the
-// no-failure fast path allocates nothing.
-func (c *Cluster) healthyReplicas() []*replica.Replica {
-	down := 0
-	for i := range c.health {
-		if !c.health[i].Up {
-			down++
-		}
-	}
-	if down == 0 {
-		return c.replicas
-	}
-	healthy := make([]*replica.Replica, 0, len(c.replicas)-down)
-	for i, rep := range c.replicas {
-		if c.health[i].Up {
-			healthy = append(healthy, rep)
-		}
-	}
-	return healthy
+	c.up[c.balancer.PickIndex(len(c.up), c.upLoad)].Submit(r)
 }
 
 // park queues a request while no replica is healthy and arms its timeout.

@@ -234,7 +234,7 @@ func TestBalancers(t *testing.T) {
 	rr := &RoundRobin{}
 	picks := []int{}
 	for i := 0; i < 6; i++ {
-		picks = append(picks, rr.Pick(c.Replicas(), nil))
+		picks = append(picks, rr.PickIndex(len(c.Replicas()), nil))
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	for i := range want {
@@ -243,7 +243,7 @@ func TestBalancers(t *testing.T) {
 		}
 	}
 
-	// Least-pending prefers the idle replica.
+	// Least-loaded over pending requests prefers the idle replica.
 	trace := gen(t, 6, 50, 99)
 	for _, r := range trace[:4] {
 		c.Replicas()[0].Submit(r)
@@ -251,12 +251,13 @@ func TestBalancers(t *testing.T) {
 	for _, r := range trace[4:5] {
 		c.Replicas()[1].Submit(r)
 	}
-	if got := (LeastPending{}).Pick(c.Replicas(), nil); got != 2 {
-		t.Fatalf("least-pending picked %d, want idle replica 2", got)
+	c.up = append(c.up[:0], c.Replicas()...)
+	if got := (LeastLoaded{}).PickIndex(len(c.up), c.upLoad); got != 2 {
+		t.Fatalf("least-loaded picked %d, want idle replica 2", got)
 	}
 
 	// SetBalancer is honored by Submit.
-	c.SetBalancer(LeastPending{})
+	c.SetBalancer(LeastLoaded{})
 	c.Submit(trace[5])
 	if got := len(c.Replicas()[2].Served()); got != 1 {
 		t.Fatalf("replica 2 served %d, want 1", got)

@@ -5,9 +5,12 @@ import (
 	"sort"
 
 	"qoserve/internal/cluster"
+	"qoserve/internal/kvcache"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
+	"qoserve/internal/replica"
 	"qoserve/internal/request"
+	"qoserve/internal/sched"
 	"qoserve/internal/sim"
 )
 
@@ -84,55 +87,50 @@ func decodeShape(n, ctx int) model.BatchShape {
 	return s
 }
 
-// decodeNode runs decode-only batches capped at maxBatch, FCFS admission.
+// decodeNode is a simulated decode-tier replica: a replica.Core over a
+// capped FCFS DecodeScheduler, driven by engine events.
 type decodeNode struct {
-	cfg      model.Config
-	engine   *sim.Engine
-	maxBatch int
-	active   []*request.Request
-	waiting  []*request.Request
-	busy     bool
+	core   *replica.Core
+	engine *sim.Engine
+	busy   bool
+	batch  sched.Batch // the batch in flight
 }
 
-func (d *decodeNode) enqueue(r *request.Request) {
-	d.waiting = append(d.waiting, r)
+// admit takes in a request whose KV just arrived; its first token is
+// stamped now.
+func (d *decodeNode) admit(r *request.Request, now sim.Time) {
+	d.core.AdmitHandoff(r, now, d)
 	if !d.busy {
-		d.iterate(d.engine.Now())
+		d.iterate(now)
 	}
 }
 
 // load is the node's queue pressure, used for least-loaded routing.
-func (d *decodeNode) load() int { return len(d.active) + len(d.waiting) }
+func (d *decodeNode) load() int { return d.core.Scheduler().Pending() }
 
+// iterate launches the next batch, or idles the node.
 func (d *decodeNode) iterate(now sim.Time) {
-	// Admit waiters up to the batch cap.
-	for len(d.active) < d.maxBatch && len(d.waiting) > 0 {
-		d.active = append(d.active, d.waiting[0])
-		d.waiting = d.waiting[1:]
-	}
-	if len(d.active) == 0 {
+	d.batch = d.core.Plan(now)
+	if d.batch.Empty() {
 		d.busy = false
 		return
 	}
 	d.busy = true
-	batch := append([]*request.Request(nil), d.active...)
-	shape := model.BatchShape{DecodeCtx: make([]int, len(batch))}
-	for i, r := range batch {
-		shape.DecodeCtx[i] = r.ContextLen()
-	}
-	exec := d.cfg.BatchTime(shape)
-	d.engine.At(now+exec, sim.EventFunc(func(_ *sim.Engine, end sim.Time) {
-		live := d.active[:0]
-		for _, r := range batch {
-			r.RecordDecodeToken(end)
-			if r.Phase() != request.Done {
-				live = append(live, r)
-			}
-		}
-		d.active = live
-		d.iterate(end)
-	}))
+	exec, debt := d.core.Price(d.batch)
+	d.engine.At(now+exec+debt, d)
 }
+
+// Fire completes the batch in flight and starts the next.
+func (d *decodeNode) Fire(_ *sim.Engine, end sim.Time) {
+	d.core.Complete(d.batch, end, d)
+	d.core.Release()
+	d.iterate(end)
+}
+
+// Token implements replica.Delivery: the simulated tier streams nothing.
+//
+//qoserve:hotpath
+func (d *decodeNode) Token(*request.Request, sim.Time, bool) {}
 
 // PipelineResult carries the end-to-end summary plus tier statistics.
 type PipelineResult struct {
@@ -172,7 +170,12 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 	}
 	decodeNodes := make([]*decodeNode, cfg.DecodeReplicas)
 	for i := range decodeNodes {
-		decodeNodes[i] = &decodeNode{cfg: cfg.Model, engine: engine, maxBatch: maxBatch}
+		kv, err := kvcache.NewManager(cfg.Model.KVCapacityTokens(), kvcache.DefaultBlockTokens)
+		if err != nil {
+			return nil, err
+		}
+		core := replica.NewCore(cfg.Model, NewDecodeScheduler(maxBatch), kv, replica.CoreOptions{})
+		decodeNodes[i] = &decodeNode{core: core, engine: engine}
 	}
 
 	// Each original request is paired with a prefill-only clone served by
@@ -237,17 +240,13 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 			}
 			e.At(arriveAt, sim.EventFunc(func(_ *sim.Engine, t sim.Time) {
 				// First token materializes at the decode tier.
-				orig.RecordPrefill(orig.PromptTokens, t)
-				if orig.Phase() == request.Done {
-					return // single-token request
-				}
 				node := decodeNodes[0]
 				for _, d := range decodeNodes[1:] {
 					if d.load() < node.load() {
 						node = d
 					}
 				}
-				node.enqueue(orig)
+				node.admit(orig, t)
 			}))
 		}
 		pending = kept

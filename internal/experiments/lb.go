@@ -28,10 +28,10 @@ func runLB(e *Env) error {
 	e.printf("%-16s%16s%18s%16s\n", "Balancer", "Violations(%)", "Q1 p99 TTFT(s)", "Q1 p50 TTFT(s)")
 	for _, b := range []struct {
 		name string
-		mk   func() cluster.Balancer
+		mk   func() cluster.GatewayBalancer
 	}{
-		{"round-robin", func() cluster.Balancer { return &cluster.RoundRobin{} }},
-		{"least-pending", func() cluster.Balancer { return cluster.LeastPending{} }},
+		{"round-robin", func() cluster.GatewayBalancer { return &cluster.RoundRobin{} }},
+		{"least-pending", func() cluster.GatewayBalancer { return cluster.LeastLoaded{} }},
 	} {
 		trace, err := e.Trace(workload.AzureCode, standardTiers(), ref*replicas*0.95, e.Seed+20)
 		if err != nil {

@@ -45,140 +45,137 @@ func TestPrefixHitsSkipPrefill(t *testing.T) {
 	if reqs[1].PrefixHitTokens != int(perTurn) {
 		t.Fatalf("request hit = %d, want %d", reqs[1].PrefixHitTokens, perTurn)
 	}
-	if rep.KV().Holders() != 0 {
-		t.Errorf("%d KV holders leaked", rep.KV().Holders())
+	if n := rep.core.kv.Holders(); n != 0 {
+		t.Errorf("%d KV holders leaked", n)
 	}
 }
 
-// A replica with a DRAM spill tier charges reload time when a demoted
-// prefix comes back, and ConfigureKV refuses reconfiguration mid-flight.
+// discard is a Delivery that drops every token.
+type discard struct{}
+
+func (discard) Token(*request.Request, sim.Time, bool) {}
+
+// serve admits r into c at *now and runs the core's loop until it idles,
+// advancing *now by each batch's price. It returns the debt the batches
+// paid on top of execution.
+func serve(c *Core, r *request.Request, now *sim.Time, peer int) (Admission, sim.Time) {
+	a := c.Admit(r, *now, peer)
+	var paid sim.Time
+	for {
+		b := c.Plan(*now)
+		if b.Empty() {
+			return a, paid
+		}
+		exec, debt := c.Price(b)
+		paid += debt
+		*now += exec + debt
+		c.Complete(b, *now, discard{})
+		c.Release()
+	}
+}
+
+// A core over a tiered cache charges reload time when a prefix demoted to
+// DRAM comes back, on the batch after the admission.
 func TestConfigureKVAndReload(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
-	engine := sim.NewEngine()
-	rep, err := New(engine, mc, sched.NewSarathi(sched.FCFS, 256))
+	// Tiny HBM with a DRAM tier big enough to keep demoted blocks.
+	kv, err := kvcache.NewTiered(kvcache.Config{CapacityTokens: 1504, DRAMTokens: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tiny HBM with a DRAM tier big enough to keep demoted blocks.
-	if err := rep.ConfigureKV(kvcache.Config{CapacityTokens: 1504, DRAMTokens: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	chain := kvcache.SyntheticChain(4, 0, kvcache.ChainBlocks(640, 16))
-	mk := func(id uint64, at sim.Time, chain []uint64) *request.Request {
+	c := NewCore(mc, sched.NewSarathi(sched.FCFS, 256), kv, CoreOptions{})
+	mk := func(id uint64, key uint64, prompt int) *request.Request {
 		return &request.Request{
 			ID: id, App: "Q1", Class: qos.Table3()[0],
-			Arrival: at, PromptTokens: 640, DecodeTokens: 8,
-			PrefixHashes: chain,
+			PromptTokens: prompt, DecodeTokens: 8,
+			PrefixHashes: kvcache.SyntheticChain(key, 0, kvcache.ChainBlocks(prompt, 16)),
 		}
 	}
+	var now sim.Time
 	reqs := []*request.Request{
-		mk(1, 0, chain),
-		// A fat private request squeezes the cache, demoting turn 1's blocks.
-		mk(2, 20*sim.Second, nil),
+		mk(1, 4, 640),
+		// A fat request with its own chain squeezes the cache, demoting
+		// turn 1's blocks.
+		mk(2, 5, 1200),
 		// Turn 2 re-sends the prefix: hits must be reloaded from DRAM.
-		mk(3, 40*sim.Second, chain),
+		mk(3, 4, 640),
 	}
-	reqs[1].PromptTokens = 1200
+	var last Admission
+	var paid sim.Time
 	for _, r := range reqs {
-		r := r
-		engine.AtPriority(r.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-			rep.Submit(r)
-		}))
-	}
-	engine.Run()
-	for _, r := range reqs {
+		last, paid = serve(c, r, &now, 0)
 		if r.Phase() != request.Done {
 			t.Fatalf("request %d stuck in %v", r.ID, r.Phase())
 		}
 	}
-	if rep.KV().Demotions() == 0 {
+	if kv.Demotions() == 0 {
 		t.Fatal("no demotions despite cache pressure")
 	}
-	if rep.PrefixHitTokens() == 0 {
-		t.Fatal("reloaded prefix counted no hits")
+	if last.Hit == 0 || last.Reloaded == 0 {
+		t.Fatalf("returning prefix admitted as %+v, want a DRAM reload", last)
 	}
-	if rep.ReloadTime() == 0 {
-		t.Fatal("DRAM reload charged no time")
+	if want := sim.FromSeconds(kv.ReloadSeconds(last.Reloaded)); paid != want {
+		t.Fatalf("reload debt paid %v, want %v", paid, want)
 	}
-	if err := rep.ConfigureKV(kvcache.Config{CapacityTokens: 4096}); err == nil {
-		t.Error("ConfigureKV accepted reconfiguration after serving")
+	if c.Fits(1505) || !c.Fits(1504) {
+		t.Error("Fits does not bound requests by the HBM tier")
 	}
 }
 
-// PublishIndex exports membership into a global index only when it
-// changed, and AddTransferDebt serializes imported-KV time into the next
-// iteration exactly like a DRAM reload.
+// Publish exports membership into a global index only when it changed,
+// KV imported from a peer serializes into the next batch exactly like a
+// DRAM reload, and a restart force-republishes the empty cache.
 func TestPublishIndexAndTransferDebt(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
-	engine := sim.NewEngine()
-	rep, err := New(engine, mc, sched.NewSarathi(sched.FCFS, 256))
+	kv, err := kvcache.NewManager(mc.KVCapacityTokens(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idx := kvcache.NewGlobalIndex(1)
-	rep.PublishIndex(idx, 0)
-	if e := idx.Epoch(0); e != 1 {
-		t.Fatalf("epoch %d after initial publish, want 1", e)
-	}
-	rep.PublishIndex(idx, 0) // membership unchanged: must not republish
-	if e := idx.Epoch(0); e != 1 {
-		t.Fatalf("quiescent republish bumped epoch to %d", e)
+	const bandwidth = 1e9
+	c := NewCore(mc, sched.NewSarathi(sched.FCFS, 256), kv, CoreOptions{Index: idx, ImportBandwidth: bandwidth})
+	c.Publish() // an empty cache is what a fresh index already says
+	if e := idx.Epoch(0); e != 0 {
+		t.Fatalf("epoch %d after publishing an unchanged cache, want 0", e)
 	}
 
 	chain := kvcache.SyntheticChain(11, 0, kvcache.ChainBlocks(800, 16))
-	req := &request.Request{
-		ID: 1, App: "Q1", Class: qos.Table3()[0],
-		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: chain,
-	}
-	engine.AtPriority(0, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-		rep.Submit(req)
-	}))
-	engine.Run()
-	rep.PublishIndex(idx, 0)
-	if e := idx.Epoch(0); e != 2 {
-		t.Fatalf("epoch %d after caching a chain, want 2", e)
+	var now sim.Time
+	serve(c, &request.Request{ID: 1, App: "Q1", Class: qos.Table3()[0],
+		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: chain}, &now, 0)
+	if e := idx.Epoch(0); e != 1 {
+		t.Fatalf("epoch %d after caching a chain, want 1", e)
 	}
 	if got := idx.MatchTokens(0, chain); got != len(chain)*16 {
 		t.Fatalf("published index matches %d tokens, want %d", got, len(chain)*16)
 	}
+	c.Publish() // membership unchanged: must not republish
+	if e := idx.Epoch(0); e != 1 {
+		t.Fatalf("quiescent republish bumped epoch to %d", e)
+	}
 
-	// Transfer debt lands on the next iteration's wall time.
-	debt := 5 * sim.Millisecond
-	before := rep.busyTime
-	rep.AddTransferDebt(debt)
-	rep.AddTransferDebt(-debt) // ignored
-	if rep.TransferTime() != debt {
-		t.Fatalf("transfer time %v, want %v", rep.TransferTime(), debt)
+	// A peer holds 320 tokens of a prefix this core has never seen.
+	other := kvcache.SyntheticChain(12, 0, kvcache.ChainBlocks(800, 16))
+	a, paid := serve(c, &request.Request{ID: 2, App: "Q1", Class: qos.Table3()[0],
+		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: other}, &now, 320)
+	if a != (Admission{Hit: 320, Imported: 320}) {
+		t.Fatalf("import admitted as %+v", a)
 	}
-	if rep.pendingReload != debt {
-		t.Fatalf("pending debt %v, want %v", rep.pendingReload, debt)
-	}
-	req2 := &request.Request{
-		ID: 2, App: "Q1", Class: qos.Table3()[0],
-		Arrival: engine.Now(), PromptTokens: 64, DecodeTokens: 2,
-	}
-	rep.Submit(req2)
-	engine.Run()
-	if req2.Phase() != request.Done {
-		t.Fatalf("request 2 stuck in %v", req2.Phase())
-	}
-	if rep.pendingReload != 0 {
-		t.Fatalf("transfer debt %v never charged", rep.pendingReload)
-	}
-	if got := rep.busyTime - before; got < debt {
-		t.Fatalf("busy time grew %v, want at least the %v transfer debt", got, debt)
+	if want := sim.FromSeconds(320 * mc.Model.KVBytesPerToken() / bandwidth); paid != want || want == 0 {
+		t.Fatalf("import debt paid %v, want %v", paid, want)
 	}
 
 	// Restart force-republishes the (now empty) membership.
-	rep.Fail()
-	if err := rep.Restart(sched.NewSarathi(sched.FCFS, 256)); err != nil {
+	fresh, err := kvcache.NewManager(mc.KVCapacityTokens(), 16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep.PublishIndex(idx, 0)
+	c.restart(sched.NewSarathi(sched.FCFS, 256), fresh)
+	c.Publish()
 	if e := idx.Epoch(0); e != 3 {
 		t.Fatalf("epoch %d after restart republish, want 3", e)
 	}
 	if got := idx.MatchTokens(0, chain); got != 0 {
-		t.Fatalf("restarted replica still advertises %d tokens", got)
+		t.Fatalf("restarted core still advertises %d tokens", got)
 	}
 }

@@ -45,18 +45,15 @@ func TestRunDrainsTraceSarathi(t *testing.T) {
 	if got := sum.CompletionRate(metrics.All); got != 1 {
 		t.Fatalf("completion rate = %v", got)
 	}
-	if rep.Iterations() == 0 || rep.TokensProcessed() == 0 {
+	if rep.Iterations() == 0 {
 		t.Fatal("no work recorded")
 	}
 	if rep.Scheduler().Pending() != 0 {
 		t.Fatal("scheduler still pending")
 	}
 	// All KV released at the end.
-	if rep.KV().Holders() != 0 {
-		t.Fatalf("%d KV holders leaked", rep.KV().Holders())
-	}
-	if u := rep.Utilization(); u <= 0 || u > 1 {
-		t.Fatalf("utilization = %v", u)
+	if n := rep.core.kv.Holders(); n != 0 {
+		t.Fatalf("%d KV holders leaked", n)
 	}
 }
 
@@ -71,8 +68,8 @@ func TestRunDrainsTraceQoServe(t *testing.T) {
 	if got := sum.CompletionRate(metrics.All); got != 1 {
 		t.Fatalf("completion rate = %v", got)
 	}
-	if rep.KV().Holders() != 0 {
-		t.Fatalf("%d KV holders leaked", rep.KV().Holders())
+	if n := rep.core.kv.Holders(); n != 0 {
+		t.Fatalf("%d KV holders leaked", n)
 	}
 	// At this light load QoServe should meet essentially all SLOs.
 	if v := sum.ViolationRate(metrics.All); v > 0.05 {
@@ -136,7 +133,7 @@ func TestKVPressureDefersAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.kv = small
+	rep.core = NewCore(mc, rep.core.sch, small, CoreOptions{})
 
 	var reqs []*request.Request
 	for i := 0; i < 4; i++ {
@@ -220,7 +217,7 @@ func TestOversizedRequestRejectedNotLivelocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.kv = small
+	rep.core = NewCore(mc, rep.core.sch, small, CoreOptions{})
 
 	huge := &request.Request{ID: 1, App: "Q3", Class: qos.Table3()[2],
 		Arrival: 0, PromptTokens: 1000, DecodeTokens: 10}
@@ -249,24 +246,4 @@ func TestOversizedRequestRejectedNotLivelocked(t *testing.T) {
 	if got := sum.ViolationRate(metrics.All); got != 0.5 {
 		t.Fatalf("violation rate = %v, want 0.5", got)
 	}
-}
-
-func TestKickRestartsIdleReplica(t *testing.T) {
-	mc := model.Llama3_8B_A100_TP1()
-	engine := sim.NewEngine()
-	s := sched.NewSarathi(sched.FCFS, 256)
-	rep, err := New(engine, mc, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed the scheduler behind the replica's back; the replica is idle.
-	r := &request.Request{ID: 1, App: "Q3", Class: qos.Table3()[2],
-		Arrival: 0, PromptTokens: 64, DecodeTokens: 2}
-	s.Add(r, 0)
-	rep.Kick()
-	engine.Run()
-	if r.Phase() != request.Done {
-		t.Fatalf("kicked work not served: %v", r.Phase())
-	}
-	rep.Kick() // idle + no pending: harmless
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,19 +16,15 @@ import (
 	"qoserve/internal/sched"
 )
 
-// fuzzMaxPrompt bounds the prompts FuzzGenerateRequest lets through. The
-// gateway accepts any positive prompt length, and a billion-token prompt
-// is a legal request that would run for virtual days; longer ones are
-// skipped so every input finishes in bounded time.
-const fuzzMaxPrompt = 1 << 17
-
 // FuzzGenerateRequest posts arbitrary bodies to POST /v1/generate on one
 // shared gateway. Every response must be 200, 400 or 413; every non-200
 // body must decode as ErrorResponse; a 200 stream must end with its done
 // event; and the gateway must drain afterwards — no input may wedge a
 // serving loop or leak an in-flight request. The seeds stay small (the
 // fuzzer minimizes every new input, which for a megabyte body takes
-// minutes); TestGenerateBodyLimit covers the 413 path.
+// minutes); TestGenerateBodyLimit covers the 413 path. The gateway's
+// 1<<17-token KV tier bounds every servable request (longer ones are a
+// 400), so each input finishes in bounded time.
 func FuzzGenerateRequest(f *testing.F) {
 	f.Add(`{"class":"Q1","prompt_tokens":64,"decode_tokens":2}`)
 	f.Add(`{"class":"Q3","priority":"low","prompt_tokens":300,"decode_tokens":1,"app":"x"}`)
@@ -52,6 +47,7 @@ func FuzzGenerateRequest(f *testing.F) {
 		Replicas:         2,
 		Classes:          qos.Table3(),
 		Timescale:        1000,
+		KV:               kvcache.Config{CapacityTokens: 1 << 17},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -61,11 +57,6 @@ func FuzzGenerateRequest(f *testing.F) {
 	f.Cleanup(ts.Close)
 
 	f.Fuzz(func(t *testing.T, body string) {
-		var probe GenerateRequest
-		if len(body) <= maxGenerateBody && json.NewDecoder(strings.NewReader(body)).Decode(&probe) == nil &&
-			probe.PromptTokens > fuzzMaxPrompt {
-			t.Skip("prompt too long to serve in bounded time")
-		}
 		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)

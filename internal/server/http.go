@@ -199,8 +199,8 @@ func (s *Server) handleDebugLoad(w http.ResponseWriter, _ *http.Request) {
 	for i, rp := range s.reps {
 		snap := rp.loadSnapshot()
 		rp.kvMu.Lock()
-		hbmBlocks, dramBlocks := rp.kv.CachedBlocks()
-		hbmUtil, dramUtil := rp.kv.TierUtilization()
+		hbmBlocks, dramBlocks := rp.core.KV().CachedBlocks()
+		hbmUtil, dramUtil := rp.core.KV().TierUtilization()
 		rp.kvMu.Unlock()
 		resp.Replicas = append(resp.Replicas, ReplicaLoad{
 			Replica:              i,

@@ -279,6 +279,7 @@ func TestGenerateErrorSchema(t *testing.T) {
 		{"bad priority", `{"class":"Q1","prompt_tokens":10,"decode_tokens":1,"priority":"vip"}`, http.StatusBadRequest, "priority"},
 		{"zero prompt", `{"class":"Q1","prompt_tokens":0,"decode_tokens":1}`, http.StatusBadRequest, "prompt_tokens"},
 		{"zero decode", `{"class":"Q1","prompt_tokens":10,"decode_tokens":0}`, http.StatusBadRequest, "decode_tokens"},
+		{"prompt beyond the KV cache", `{"class":"Q1","prompt_tokens":1000000,"decode_tokens":1}`, http.StatusBadRequest, "prompt_tokens"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -296,7 +296,7 @@ func (rp *gatewayReplica) idleWait() {
 }
 
 // finishIteration runs the post-mu phase of one serving iteration: batch
-// the iteration's prefix releases into one kvMu section, freeze finished
+// the iteration's KV releases into one kvMu section, freeze finished
 // requests' outcomes (recycling their objects), and deliver staged
 // frames.
 func (rp *gatewayReplica) finishIteration(end sim.Time) {
@@ -306,21 +306,13 @@ func (rp *gatewayReplica) finishIteration(end sim.Time) {
 	rp.flushFrames()
 }
 
-// releaseBatch unpins every prefix released this iteration in a single
-// kvMu critical section and publishes the membership change once —
-// previously each finished request took kvMu (and re-published) on its
-// own under mu.
+// releaseBatch frees the KV of every request that finished this
+// iteration in a single kvMu critical section, publishing the membership
+// change to the global index at most once.
 func (rp *gatewayReplica) releaseBatch() {
-	if len(rp.releaseQ) == 0 {
-		return
-	}
 	rp.kvMu.Lock()
-	for _, id := range rp.releaseQ {
-		rp.kv.Release(id)
-	}
-	rp.publishIndexLocked()
+	rp.core.Release()
 	rp.kvMu.Unlock()
-	rp.releaseQ = rp.releaseQ[:0]
 }
 
 // finalizeDone freezes the outcome of every request that finished this
