@@ -74,8 +74,8 @@ func TestDisaggConfigValidation(t *testing.T) {
 	if srv.prefillReps != 3 {
 		t.Fatalf("default prefill tier %d, want 3 of 5", srv.prefillReps)
 	}
-	if srv.maxDecodeBatch < 1 {
-		t.Fatalf("derived decode batch %d", srv.maxDecodeBatch)
+	if srv.cfg.MaxDecodeBatch < 1 {
+		t.Fatalf("derived decode batch %d", srv.cfg.MaxDecodeBatch)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestDisaggDerivesDecodeBatchFromClasses(t *testing.T) {
 		{"loose", []qos.Class{loose}, disagg.DeriveDecodeBatch(mc, 200*sim.Millisecond, 2048)},
 	} {
 		srv := newDisaggServer(t, Config{Replicas: 2, Classes: tc.classes})
-		if srv.maxDecodeBatch != tc.want {
-			t.Errorf("%s: decode batch %d, want %d", tc.name, srv.maxDecodeBatch, tc.want)
+		if srv.cfg.MaxDecodeBatch != tc.want {
+			t.Errorf("%s: decode batch %d, want %d", tc.name, srv.cfg.MaxDecodeBatch, tc.want)
 		}
 	}
 	if at50 == disagg.DeriveDecodeBatch(mc, 200*sim.Millisecond, 2048) {
@@ -223,5 +223,37 @@ func TestDebugLoadEndpoint(t *testing.T) {
 			r.ActiveDecodes != 0 || r.SumDecodeCtx != 0 || r.MaxDecodeCtx != 0 {
 			t.Errorf("idle replica %d reports load: %+v", i, r)
 		}
+	}
+}
+
+// TestDisaggQueuesCountDecodeTier checks that decode-tier replicas run
+// their own decode scheduler — the configured factory is called once per
+// prefill replica only — and that Queues, behind /metrics and
+// /debug/queues, counts a request waiting in the decode tier.
+func TestDisaggQueuesCountDecodeTier(t *testing.T) {
+	var built int
+	srv := newDisaggServer(t, Config{
+		Replicas:        3,
+		PrefillReplicas: 1,
+		Timescale:       1, // 300 decode iterations take seconds: the request stays queued
+		SchedulerFactory: func() sched.Scheduler {
+			built++
+			return sched.NewSarathi(sched.EDF, 512)
+		},
+	})
+	if built != 1 {
+		t.Fatalf("SchedulerFactory called %d times, want once for the one prefill replica", built)
+	}
+	st, err := srv.Submit(Submission{Class: "Q1", PromptTokens: 64, DecodeTokens: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first token is stamped when the decode tier admits the handoff,
+	// after the request joined its decode queue.
+	if _, ok := st.Recv(); !ok {
+		t.Fatal("stream ended before its first token")
+	}
+	if q := srv.Queues(); !q.Reported || q.Decode != 1 {
+		t.Fatalf("queues %+v, want the decode tier's one request reported", q)
 	}
 }
