@@ -1,10 +1,11 @@
 // Command profilegen runs the offline profiling pass and trains the
 // batch-latency random forest for one model/hardware configuration — the
 // artifact the paper ships per (model, hardware, parallelism) deployment
-// (§3.6.1).
+// (§3.6.1). The forests the serving processes load are written by it
+// (`make forests`, into internal/predictor/forests).
 //
-//	profilegen -hardware llama3-8b -out llama3-8b.forest.json
-//	profilegen -verify llama3-8b.forest.json -hardware llama3-8b
+//	profilegen -hardware llama3-8b -out llama3-8b.forest
+//	profilegen -verify llama3-8b.forest -hardware llama3-8b
 package main
 
 import (
@@ -27,7 +28,7 @@ func main() {
 
 	var (
 		hardware = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
-		out      = flag.String("out", "", "path to save the trained forest (JSON)")
+		out      = flag.String("out", "", "path to save the trained forest (binary forest format)")
 		verify   = flag.String("verify", "", "path of a saved forest to validate instead of training")
 		seed     = flag.Int64("seed", 1, "profiling/training seed")
 		trees    = flag.Int("trees", 0, "forest size (default 20)")

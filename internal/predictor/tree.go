@@ -25,7 +25,7 @@
 // the exact search. Growth reuses one set of scratch buffers for every
 // node, partitioning each node's index list stably in place.
 // oracle_test.go holds the trainer's earlier, naive form and requires
-// Save() output identical to it.
+// forests bit-identical to its.
 package predictor
 
 import (
