@@ -1,7 +1,9 @@
 // Package serving resolves the flags the serving commands share — the
 // hardware preset, the scheduling policy and the replica balancer — into
 // the pieces server.Config takes. qoserved and qoserve-loadgen build their
-// gateway through Build; profilegen uses Hardware.
+// gateway through Build, which loads the preset's shipped latency
+// predictor (internal/predictor/forests) rather than training one;
+// profilegen uses Hardware.
 package serving
 
 import (
@@ -12,20 +14,18 @@ import (
 	"qoserve/internal/core"
 	"qoserve/internal/model"
 	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
+	"qoserve/internal/predictor/forests"
 	"qoserve/internal/sched"
 	"qoserve/internal/sim"
 )
 
-// Hardware returns the cost model of a -hardware name.
+// Hardware returns the cost model of a -hardware name. Every name is a
+// preset that ships a trained forest.
 func Hardware(name string) (model.Config, error) {
-	switch name {
-	case "llama3-8b":
-		return model.Llama3_8B_A100_TP1(), nil
-	case "qwen-7b":
-		return model.Qwen_7B_A100_TP2(), nil
-	case "llama3-70b":
-		return model.Llama3_70B_H100_TP4(), nil
+	for _, p := range forests.Presets() {
+		if p.Hardware == name {
+			return p.Model, nil
+		}
 	}
 	return model.Config{}, fmt.Errorf("unknown hardware %q", name)
 }
@@ -56,8 +56,7 @@ type Stack struct {
 }
 
 // Build resolves o. The qoserve and medha policies and the predicted
-// balancer share one forest, profiled and trained (seed 1) once — the
-// expensive part of start-up.
+// balancer share one forest, the preset's shipped one.
 func Build(o Options) (Stack, error) {
 	mc, err := Hardware(o.Hardware)
 	if err != nil {
@@ -65,14 +64,10 @@ func Build(o Options) (Stack, error) {
 	}
 	var forest *predictor.Forest
 	if o.Policy == "qoserve" || o.Policy == "medha" || o.Balancer == "predicted" {
-		log.Printf("profiling %s and training the latency predictor ...", mc.Name())
-		samples, err := profile.Collect(mc, profile.Config{Seed: 1})
-		if err != nil {
+		if forest, err = forests.Load(mc); err != nil {
 			return Stack{}, err
 		}
-		if forest, err = predictor.Train(samples, predictor.ForestConfig{Seed: 1}); err != nil {
-			return Stack{}, err
-		}
+		log.Printf("loaded the shipped latency predictor for %s (%d trees)", mc.Name(), forest.Trees())
 	}
 
 	st := Stack{Model: mc}

@@ -2,6 +2,7 @@ package qoserve_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,6 +101,51 @@ func TestServeHardwarePresets(t *testing.T) {
 	}
 	if qoserve.Llama3_8B_A100.String() != "Llama3-8B/A100-TP1" {
 		t.Errorf("hardware string = %q", qoserve.Llama3_8B_A100.String())
+	}
+}
+
+// TestConcurrentServe runs Serve for every hardware preset from several
+// goroutines at once; under -race it checks that the predictive policies
+// share no unsynchronized state. Each run must match a sequential one
+// made afterwards.
+func TestConcurrentServe(t *testing.T) {
+	reqs := smallWorkload(t, 1, time.Minute)
+	hws := []qoserve.Hardware{qoserve.Llama3_8B_A100, qoserve.Qwen_7B_2xA100, qoserve.Llama3_70B_4xH100}
+	// ttftSum fingerprints a run: it differs across the presets.
+	ttftSum := func(hw qoserve.Hardware) (time.Duration, error) {
+		report, err := qoserve.Serve(qoserve.Options{Hardware: hw}, reqs)
+		if err != nil {
+			return 0, err
+		}
+		var sum time.Duration
+		for _, o := range report.Outcomes {
+			sum += o.TTFT
+		}
+		return sum, nil
+	}
+	got := make([]time.Duration, 2*len(hws))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[i], err = ttftSum(hws[i%len(hws)]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, hw := range hws {
+		want, err := ttftSum(hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := i; j < len(got); j += len(hws) {
+			if got[j] != want {
+				t.Errorf("%v: concurrent TTFT sum %v, sequential %v", hw, got[j], want)
+			}
+		}
 	}
 }
 

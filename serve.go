@@ -10,8 +10,7 @@ import (
 	"qoserve/internal/fault"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
-	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
+	"qoserve/internal/predictor/forests"
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
 	"qoserve/internal/sched"
@@ -87,27 +86,8 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// predictorCache memoizes trained forests per hardware configuration so
-// repeated Serve calls do not retrain.
-var predictorCache = map[string]predictor.SafePredictor{}
-
-func predictorFor(mc model.Config) (predictor.SafePredictor, error) {
-	if p, ok := predictorCache[mc.Name()]; ok {
-		return p, nil
-	}
-	samples, err := profile.Collect(mc, profile.Config{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	f, err := predictor.Train(samples, predictor.ForestConfig{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	predictorCache[mc.Name()] = f
-	return f, nil
-}
-
-// factoryFor builds the scheduler factory for the options.
+// factoryFor builds the scheduler factory for the options. The predictive
+// policies load the hardware preset's shipped forest.
 func factoryFor(o Options, mc model.Config) (cluster.SchedulerFactory, error) {
 	chunk := o.Chunk
 	if chunk == 0 {
@@ -115,7 +95,7 @@ func factoryFor(o Options, mc model.Config) (cluster.SchedulerFactory, error) {
 	}
 	switch o.Policy {
 	case PolicyQoServe, "":
-		pred, err := predictorFor(mc)
+		pred, err := forests.Load(mc)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +110,7 @@ func factoryFor(o Options, mc model.Config) (cluster.SchedulerFactory, error) {
 	case PolicySarathiSRPF:
 		return func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, chunk) }, nil
 	case PolicyMedha:
-		pred, err := predictorFor(mc)
+		pred, err := forests.Load(mc)
 		if err != nil {
 			return nil, err
 		}
