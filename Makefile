@@ -78,12 +78,13 @@ lint:
 # race runs of the gateway's wall-clock SLO tests (they flaked under a
 # loaded host before the test servers' timescale came down), the
 # benchmark module's own vet and tests (perfbench/ is a separate Go
-# module, so ./... at the root does not reach it), a short fuzzing pass,
-# then the short benchmark pass. The allocation guards
-# (TestPlanBatchSteadyStateAllocFree, TestForestPredictAllocFree,
-# TestTrainAllocCeiling, TestLoadAllocCeiling) run as ordinary tests, so
-# an alloc regression on the plan path, in forest training or in the
-# forest loader fails the gate.
+# module, so ./... at the root does not reach it), the fixed-seed gateway
+# smoke (loadgen-smoke: every request completes, no stream event is
+# dropped silently), a short fuzzing pass, then the short benchmark pass.
+# The allocation guards (TestPlanBatchSteadyStateAllocFree,
+# TestForestPredictAllocFree, TestTrainAllocCeiling, TestLoadAllocCeiling)
+# run as ordinary tests, so an alloc regression on the plan path, in
+# forest training or in the forest loader fails the gate.
 verify:
 	$(GO) vet ./...
 	$(MAKE) lint
@@ -91,6 +92,7 @@ verify:
 	$(GO) test -race -count=8 -run '^(TestServerQoSOrdering|TestFrameStreamsTokens)$$' ./internal/server
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+	$(MAKE) loadgen-smoke
 	$(MAKE) fuzz
 	$(MAKE) bench-short
 	$(MAKE) bench-gate

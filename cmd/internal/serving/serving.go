@@ -3,7 +3,8 @@
 // the pieces server.Config takes. qoserved and qoserve-loadgen build their
 // gateway through Build, which loads the preset's shipped latency
 // predictor (internal/predictor/forests) rather than training one;
-// profilegen uses Hardware.
+// profilegen uses Hardware. Policies is the -policy list of these two
+// commands and of qoserve-sim, whose qoserve.Serve accepts the same names.
 package serving
 
 import (
@@ -29,6 +30,9 @@ func Hardware(name string) (model.Config, error) {
 	}
 	return model.Config{}, fmt.Errorf("unknown hardware %q", name)
 }
+
+// Policies names the per-replica schedulers Build accepts.
+var Policies = []string{"qoserve", "sarathi-fcfs", "sarathi-edf", "sarathi-sjf", "sarathi-srpf", "vllm", "medha"}
 
 // Options are the shared flag values.
 type Options struct {
@@ -78,6 +82,8 @@ func Build(o Options) (Stack, error) {
 		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, o.Chunk) }
 	case "sarathi-edf":
 		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.EDF, o.Chunk) }
+	case "sarathi-sjf":
+		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.SJF, o.Chunk) }
 	case "sarathi-srpf":
 		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, o.Chunk) }
 	case "vllm":

@@ -41,7 +41,7 @@ func main() {
 
 	var (
 		hardware   = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
-		policyName = flag.String("policy", "sarathi-fcfs", "qoserve | sarathi-fcfs | sarathi-edf | sarathi-srpf | vllm | medha")
+		policyName = flag.String("policy", "sarathi-fcfs", strings.Join(serving.Policies, " | "))
 		chunk      = flag.Int("chunk", 512, "fixed chunk for Sarathi policies")
 		replicas   = flag.Int("replicas", 1, "independent scheduler replicas (serving loops)")
 		balancer   = flag.String("balancer", "round-robin", "replica routing: round-robin | least-loaded | prefix | predicted")

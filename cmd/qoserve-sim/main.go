@@ -19,9 +19,11 @@ import (
 	"log"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"qoserve"
+	"qoserve/cmd/internal/serving"
 	"qoserve/internal/workload"
 )
 
@@ -37,7 +39,7 @@ func main() {
 		duration    = flag.Duration("duration", 10*time.Minute, "trace duration")
 		lowPrio     = flag.Float64("low-priority", 0, "fraction of requests tagged free-tier")
 		seed        = flag.Int64("seed", 1, "workload seed")
-		policyName  = flag.String("policy", "qoserve", "qoserve | sarathi-fcfs | sarathi-edf | sarathi-sjf | sarathi-srpf | medha")
+		policyName  = flag.String("policy", "qoserve", strings.Join(serving.Policies, " | "))
 		hardware    = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
 		replicas    = flag.Int("replicas", 1, "shared-cluster replica count")
 		chunk       = flag.Int("chunk", 0, "fixed chunk for Sarathi policies (default 256)")

@@ -24,12 +24,35 @@ func (s *Scheduler) decodeCtxs() []int {
 	return ctx
 }
 
+// Dynamic-chunking constants. minChunk is the paper's; the other three
+// deviate from PAPER §1 (DESIGN.md lists them with the tests that pin them).
+const (
+	// minChunk guarantees prefill progress when slack is exhausted.
+	minChunk = 32
+	// slackSafety is the share of measured decode slack the dynamic chunk
+	// may spend. The predictor's margin covers its average error; this
+	// shaves the tail where an outlier prediction would let a
+	// slack-stretched iteration land a token past its Eq. 2 deadline.
+	slackSafety = 0.9
+	// latePacing floors the budget of a decode with no TBT target (a
+	// non-interactive one) that is already past its deadline: it bounds
+	// how far a late batch may be stretched further.
+	latePacing = 100 * sim.Millisecond
+	// ttftRush replaces the TBT floor as the iteration budget when the
+	// front queued interactive request is projected to miss its first-token
+	// deadline at the achieved prefill rate. A TTFT miss is a hard
+	// request-level violation while a bounded spell of slower token pacing
+	// is soft drift, so the scheduler briefly trades the latter for the
+	// former.
+	ttftRush = 200 * sim.Millisecond
+)
+
 // iterationBudget computes the latency budget for the next iteration
 // (GET_MIN_SLACK feeding GET_PREFILL_BUDGET in Algorithm 1). Each in-flight
-// decode contributes max(SlackSafety * slack_i, TBT_i): a decode ahead of
+// decode contributes max(slackSafety * slack_i, TBT_i): a decode ahead of
 // its Eq. 2 schedule donates its slack, while one that has fallen behind is
 // paced at its own TBT rather than starving prefill forever (non-interactive
-// decodes, which have no TBT, floor at LatePacing). The batch budget is the
+// decodes, which have no TBT, floor at latePacing). The batch budget is the
 // minimum over decodes; with no decodes the budget is unbounded and the
 // chunk cap applies.
 //
@@ -39,11 +62,11 @@ func (s *Scheduler) iterationBudget(now sim.Time) (budget sim.Time, floorBound b
 	for _, r := range s.decodes {
 		slack := r.NextTokenDeadline() - now
 		if slack > 0 {
-			slack = sim.Time(float64(slack) * s.opts.SlackSafety)
+			slack = sim.Time(float64(slack) * slackSafety)
 		}
 		floor := r.Class.SLO.TBT
 		if floor == 0 {
-			floor = s.opts.LatePacing
+			floor = latePacing
 		}
 		bound := slack < floor
 		if bound {
@@ -66,7 +89,7 @@ func (s *Scheduler) iterationBudget(now sim.Time) (budget sim.Time, floorBound b
 func (s *Scheduler) prefillBudget(now sim.Time, frontCtx int) (int, sim.Time) {
 	s.planPred = s.pred
 	if !s.opts.DynamicChunking {
-		c := s.opts.FallbackChunk - len(s.decodes)
+		c := sched.DefaultChunk - len(s.decodes)
 		if c < 0 {
 			c = 0
 		}
@@ -87,8 +110,8 @@ func (s *Scheduler) prefillBudget(now sim.Time, frontCtx int) (int, sim.Time) {
 	} else {
 		c = predictor.ChunkBudget(s.planPred, s.decodeCtxs(), frontCtx, budget, s.opts.MaxChunk)
 	}
-	if c < s.opts.MinChunk {
-		c = s.opts.MinChunk
+	if c < minChunk {
+		c = minChunk
 	}
 	return c, budget
 }
@@ -99,16 +122,13 @@ func (s *Scheduler) prefillBudget(now sim.Time, frontCtx int) (int, sim.Time) {
 //
 //qoserve:hotpath
 func (s *Scheduler) ttftRushBudget(now sim.Time) sim.Time {
-	if s.opts.TTFTRush <= 0 {
-		return 0
-	}
 	f := s.mainQ.Front()
 	if f == nil || f.Class.Kind != qos.Interactive {
 		return 0
 	}
 	projected := now + s.prefillTime(f.RemainingPrefill()) + sim.FromSeconds(s.iterTime)
 	if projected > f.FirstTokenDeadline() {
-		return s.opts.TTFTRush
+		return ttftRush
 	}
 	return 0
 }
@@ -146,8 +166,8 @@ func (s *Scheduler) trimToBudget(b *sched.Batch, budget sim.Time) {
 		}
 		if last == 0 {
 			// Even a minimal chunk exceeds budget (e.g. the decode side
-			// alone is already over); keep MinChunk for progress.
-			alloc.Tokens = min(s.opts.MinChunk, alloc.Req.RemainingPrefill())
+			// alone is already over); keep minChunk for progress.
+			alloc.Tokens = min(minChunk, alloc.Req.RemainingPrefill())
 			return
 		}
 		b.Prefill = b.Prefill[:last]

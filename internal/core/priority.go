@@ -10,6 +10,15 @@ import (
 	"qoserve/internal/sim"
 )
 
+// Adaptive-α constants. alphaLow is the paper's low-load factor, which
+// protects tail latency; alphaSwitchBacklog, a deviation from PAPER §1, is
+// the load signal when eager relegation is off and so no deadline
+// projection runs.
+const (
+	alphaLow           = 1 * sim.Millisecond
+	alphaSwitchBacklog = 10 * sim.Second
+)
+
 // alpha returns the effective interpolation factor.
 //
 //qoserve:hotpath
@@ -18,7 +27,7 @@ func (s *Scheduler) alpha() sim.Time {
 		return 0
 	}
 	if s.opts.AdaptiveAlpha && !s.highAlpha {
-		return s.opts.AlphaLow
+		return alphaLow
 	}
 	return s.opts.Alpha
 }
@@ -96,7 +105,7 @@ func (s *Scheduler) partialRemove(r *request.Request) {
 // updateAlphaRegime switches between low and high alpha and re-keys the
 // queues when the regime changes. With eager relegation active, the signal
 // is deadline pressure from the queue projection; otherwise it falls back
-// to raw backlog exceeding AlphaSwitchBacklog.
+// to raw backlog exceeding alphaSwitchBacklog.
 //
 //qoserve:hotpath
 func (s *Scheduler) updateAlphaRegime(now sim.Time) {
@@ -112,7 +121,7 @@ func (s *Scheduler) updateAlphaRegime(now sim.Time) {
 			work += r.RemainingPrefill()
 		}
 		backlog := sim.FromSeconds(float64(work) / s.prefillRate)
-		high = backlog > s.opts.AlphaSwitchBacklog
+		high = backlog > alphaSwitchBacklog
 	}
 	if high == s.highAlpha {
 		return

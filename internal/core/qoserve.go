@@ -31,82 +31,49 @@ import (
 	"qoserve/internal/trace"
 )
 
-// Options configures the QoServe scheduler. The zero value is not useful;
-// start from DefaultOptions.
+// Options configures the QoServe scheduler: the paper's α and chunk cap,
+// and one switch per technique for the Table 5 ablation. Start from
+// DefaultOptions. The scheduler's other numbers are constants next to the
+// code that reads them (DESIGN.md lists them).
 type Options struct {
 	// Alpha is the hybrid-prioritization interpolation factor, expressed
 	// as time per remaining token (Eqs. 4-5). The paper's offline sweep
 	// found 8 ms/token best for fixed-QPS runs.
 	Alpha sim.Time
-	// AlphaLow is used instead of Alpha while the system is underloaded
-	// when AdaptiveAlpha is set (the paper uses 1 ms/token at low load to
-	// protect tail latency).
-	AlphaLow sim.Time
-	// AdaptiveAlpha enables load-adaptive switching between AlphaLow and
-	// Alpha based on the projected prefill backlog.
+	// AdaptiveAlpha uses 1 ms/token instead of Alpha until the system is
+	// loaded. With eager relegation the load signal is projected deadline
+	// pressure from the queue-wide pass; without it, a prefill backlog
+	// above 10 s.
 	AdaptiveAlpha bool
-	// AlphaSwitchBacklog is the backlog (projected queue drain time) above
-	// which adaptive mode switches to the high Alpha. Default 10 s.
-	AlphaSwitchBacklog sim.Time
 
 	// MaxChunk caps the dynamic chunk size; the paper uses 2500, where
-	// Figure 4's throughput curve saturates.
+	// Figure 4's throughput curve saturates. Zero means 2500.
 	MaxChunk int
-	// MinChunk guarantees forward progress when slack is exhausted.
-	MinChunk int
-	// FallbackChunk is the fixed token budget used when DynamicChunking
-	// is disabled (ablations), mirroring the Sarathi baseline.
-	FallbackChunk int
-	// LatePacing is the iteration budget used when every decode is
-	// already past its next-token deadline and no TBT target applies;
-	// it bounds how far a late batch may be stretched further.
-	LatePacing sim.Time
 
-	// Feature flags for the Table 5 ablation.
+	// Feature flags for the Table 5 ablation. Without DynamicChunking the
+	// prefill budget is Sarathi's fixed sched.DefaultChunk.
 	DynamicChunking bool
 	EagerRelegation bool
 	HybridPriority  bool // false forces alpha = 0, i.e. pure EDF ordering
 	// SelectivePreemption boosts an in-flight prefill that would miss its
 	// deadline if displaced by higher-priority arrivals.
 	SelectivePreemption bool
-
-	// RelegationInterval throttles the queue-wide relegation projection.
-	RelegationInterval sim.Time
-
-	// SlackSafety is the fraction of measured decode slack the dynamic
-	// chunk may consume (default 0.9). The predictor's margin covers its
-	// average error; this shaves the tail where an outlier prediction
-	// would let a slack-stretched iteration land a token past its Eq. 2
-	// deadline.
-	SlackSafety float64
-
-	// TTFTRush is the iteration budget used instead of the TBT floor
-	// when the highest-priority queued interactive request is projected
-	// to miss its first-token deadline at the currently achieved prefill
-	// rate. A TTFT miss is a hard request-level violation while a
-	// bounded spell of slower token pacing is soft drift, so the
-	// scheduler briefly trades the latter for the former. Default 200 ms.
-	TTFTRush sim.Time
 }
+
+// defaultMaxChunk is the paper's chunk cap, also applied by New to a zero
+// MaxChunk.
+const defaultMaxChunk = 2500
 
 // DefaultOptions returns the paper's deployment configuration.
 func DefaultOptions() Options {
 	return Options{
 		Alpha:               8 * sim.Millisecond,
-		AlphaLow:            1 * sim.Millisecond,
 		AdaptiveAlpha:       true,
-		AlphaSwitchBacklog:  10 * sim.Second,
-		MaxChunk:            2500,
-		MinChunk:            32,
-		FallbackChunk:       sched.DefaultChunk,
-		LatePacing:          100 * sim.Millisecond,
+		MaxChunk:            defaultMaxChunk,
 		DynamicChunking:     true,
 		EagerRelegation:     true,
 		HybridPriority:      true,
 		SelectivePreemption: true,
-		RelegationInterval:  500 * sim.Millisecond,
-		SlackSafety:         0.9,
-		TTFTRush:            200 * sim.Millisecond,
 	}
 }
 
@@ -204,22 +171,7 @@ func New(pred predictor.SafePredictor, opts Options) *Scheduler {
 	}
 	s.planPred = s.pred
 	if s.opts.MaxChunk <= 0 {
-		s.opts.MaxChunk = 2500
-	}
-	if s.opts.MinChunk <= 0 {
-		s.opts.MinChunk = 32
-	}
-	if s.opts.FallbackChunk <= 0 {
-		s.opts.FallbackChunk = sched.DefaultChunk
-	}
-	if s.opts.LatePacing <= 0 {
-		s.opts.LatePacing = 100 * sim.Millisecond
-	}
-	if s.opts.RelegationInterval <= 0 {
-		s.opts.RelegationInterval = 500 * sim.Millisecond
-	}
-	if s.opts.SlackSafety <= 0 || s.opts.SlackSafety > 1 {
-		s.opts.SlackSafety = 0.9
+		s.opts.MaxChunk = defaultMaxChunk
 	}
 	// Seed the rate estimates from the predictor: a lone max-size chunk.
 	t := pred.PredictSafe(model.BatchShape{

@@ -146,7 +146,7 @@ func TestDynamicChunkShrinksUnderTightSlack(t *testing.T) {
 	if chunk >= s.opts.MaxChunk/2 {
 		t.Errorf("chunk %d too large for 50ms budget", chunk)
 	}
-	if chunk < s.opts.MinChunk {
+	if chunk < minChunk {
 		t.Errorf("chunk %d below floor", chunk)
 	}
 	// The planned batch must fit the 50ms budget per the oracle.
@@ -158,7 +158,6 @@ func TestDynamicChunkShrinksUnderTightSlack(t *testing.T) {
 func TestFallbackChunkWhenDCDisabled(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DynamicChunking = false
-	opts.FallbackChunk = 256
 	s := newSched(opts)
 	p := req(1, 0, 10000, 2, q3())
 	s.Add(p, 0)
@@ -217,10 +216,10 @@ func TestRelegatedServedOpportunistically(t *testing.T) {
 
 func TestPriorityProtectionRelegatesLowFirst(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
-	opts := DefaultOptions()
-	opts.RelegationInterval = sim.Nanosecond
-	s := New(predictor.Oracle{Config: mc}, opts)
+	s := New(predictor.Oracle{Config: mc}, DefaultOptions())
 
+	// One relegationInterval past the throttle clock's zero, so the plan
+	// below runs the queue-wide pass.
 	now := sim.Second
 	// Fill the queue with enough low-priority work that a high-priority
 	// interactive request behind it would miss its 6s TTFT.
@@ -322,12 +321,11 @@ func TestAdaptiveAlphaBacklogFallback(t *testing.T) {
 	// Without eager relegation, the adaptive signal is raw backlog.
 	opts := DefaultOptions()
 	opts.EagerRelegation = false
-	opts.AlphaSwitchBacklog = sim.Second
 	s := newSched(opts)
-	if s.alpha() != opts.AlphaLow {
+	if s.alpha() != alphaLow {
 		t.Fatalf("initial alpha = %v, want low", s.alpha())
 	}
-	// Enqueue far more work than a second of prefill.
+	// Enqueue far more work than alphaSwitchBacklog of prefill.
 	now := sim.Time(0)
 	for i := 0; i < 50; i++ {
 		s.Add(req(uint64(i+1), now, 10000, 2, q3()), now)
@@ -341,8 +339,9 @@ func TestAdaptiveAlphaBacklogFallback(t *testing.T) {
 func TestAdaptiveAlphaDeadlinePressure(t *testing.T) {
 	// With eager relegation, alpha rises only under projected deadline
 	// pressure: a deep queue of relaxed-deadline work must NOT trigger it.
+	// Plans are a second apart, so each after the first runs the
+	// queue-wide pass (relegationInterval is 500 ms).
 	opts := DefaultOptions()
-	opts.RelegationInterval = sim.Nanosecond
 	s := newSched(opts)
 	now := sim.Time(0)
 	for i := 0; i < 50; i++ {
@@ -350,7 +349,7 @@ func TestAdaptiveAlphaDeadlinePressure(t *testing.T) {
 	}
 	s.PlanBatch(now)
 	s.PlanBatch(now + sim.Second) // regime reads the previous pass's signal
-	if s.alpha() != opts.AlphaLow {
+	if s.alpha() != alphaLow {
 		t.Fatalf("alpha = %v under relaxed backlog, want low", s.alpha())
 	}
 	// Now enqueue strict-TTFT work deep enough to project violations.
@@ -439,9 +438,7 @@ func TestSchedulerImplementsInterface(t *testing.T) {
 
 func TestDefaultsAppliedForZeroOptions(t *testing.T) {
 	s := newSched(Options{})
-	if s.opts.MaxChunk != 2500 || s.opts.MinChunk != 32 ||
-		s.opts.FallbackChunk != sched.DefaultChunk ||
-		s.opts.LatePacing <= 0 || s.opts.RelegationInterval <= 0 {
+	if s.opts.MaxChunk != 2500 {
 		t.Errorf("zero options not defaulted: %+v", s.opts)
 	}
 }
@@ -540,15 +537,15 @@ func TestRandomizedContractDrain(t *testing.T) {
 // randomized mix of in-flight decodes and queued prefills, every planned
 // batch with a prefill chunk must execute within the iteration budget
 // implied by the decodes' slack (floored per-decode at its TBT/late
-// pacing), up to the MinChunk progress floor.
+// pacing, or raised to ttftRush when the front interactive request is
+// projected to miss its TTFT), up to the minChunk progress floor.
 func TestPlannedBatchRespectsBudgetProperty(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
 	rng := rand.New(rand.NewSource(77))
 	classes := []qos.Class{q1(), q2(), q3()}
 	for trial := 0; trial < 40; trial++ {
-		opts := DefaultOptions()
-		opts.TTFTRush = 0 // isolate the slack budget from the rush escape
-		s := New(predictor.Oracle{Config: mc}, opts)
+		s := New(predictor.Oracle{Config: mc}, DefaultOptions())
+		s.EnableChunkLog()
 		now := sim.Time(rng.Intn(10000)) * sim.Millisecond
 
 		// Random decodes at various progress points.
@@ -566,9 +563,15 @@ func TestPlannedBatchRespectsBudgetProperty(t *testing.T) {
 			s.Add(req(uint64(100+i), now, 64+rng.Intn(8000), 1+rng.Intn(10), classes[rng.Intn(3)]), now)
 		}
 
-		budget, _ := s.iterationBudget(now)
+		budget, floorBound := s.iterationBudget(now)
 		b := s.PlanBatch(now)
-		if b.PrefillTokens() <= opts.MinChunk {
+		if planned := s.ChunkLog()[0].Budget; planned != budget {
+			if !floorBound || planned != ttftRush {
+				t.Fatalf("trial %d: planned budget %v, want %v or the rush", trial, planned, budget)
+			}
+			budget = planned
+		}
+		if b.PrefillTokens() <= minChunk {
 			continue // the progress floor may legitimately exceed budget
 		}
 		exec := mc.BatchTime(b.Shape())
@@ -599,11 +602,11 @@ func TestIterationBudgetPerDecodeProperty(t *testing.T) {
 
 			slack := r.NextTokenDeadline() - now
 			if slack > 0 {
-				slack = sim.Time(float64(slack) * s.opts.SlackSafety)
+				slack = sim.Time(float64(slack) * slackSafety)
 			}
 			floor := r.Class.SLO.TBT
 			if floor == 0 {
-				floor = s.opts.LatePacing
+				floor = latePacing
 			}
 			cap := slack
 			if cap < floor {
@@ -622,24 +625,22 @@ func TestIterationBudgetPerDecodeProperty(t *testing.T) {
 
 func TestRelegationPassThrottled(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
-	opts := DefaultOptions()
-	opts.RelegationInterval = sim.Second
-	s := New(predictor.Oracle{Config: mc}, opts)
+	s := New(predictor.Oracle{Config: mc}, DefaultOptions())
 	s.Add(req(1, 0, 100, 2, q3()), 0)
-	// Plans inside the first interval run no queue-wide pass (the
-	// throttle clock starts at zero).
+	// Plans inside the first 500 ms relegationInterval run no queue-wide
+	// pass (the throttle clock starts at zero).
 	s.PlanBatch(0)
-	s.PlanBatch(100 * sim.Millisecond)
-	s.PlanBatch(900 * sim.Millisecond)
+	s.PlanBatch(50 * sim.Millisecond)
+	s.PlanBatch(450 * sim.Millisecond)
 	if got := s.RelegationPasses(); got != 0 {
 		t.Fatalf("passes = %d, want 0 (throttled)", got)
 	}
-	s.PlanBatch(1100 * sim.Millisecond)
-	s.PlanBatch(1200 * sim.Millisecond)
+	s.PlanBatch(550 * sim.Millisecond)
+	s.PlanBatch(600 * sim.Millisecond)
 	if got := s.RelegationPasses(); got != 1 {
 		t.Fatalf("passes = %d, want 1", got)
 	}
-	s.PlanBatch(2200 * sim.Millisecond)
+	s.PlanBatch(1100 * sim.Millisecond)
 	if got := s.RelegationPasses(); got != 2 {
 		t.Fatalf("passes = %d, want 2", got)
 	}

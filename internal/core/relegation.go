@@ -102,6 +102,11 @@ func (s *Scheduler) relegate(r *request.Request, now sim.Time, reason string) {
 	s.TraceEvent(trace.Event{At: now, Kind: trace.Relegation, Req: r.ID, Class: r.Class.Name, Reason: reason})
 }
 
+// relegationInterval throttles the queue-wide relegation projection. The
+// throttle is a deviation from PAPER §1 that bounds planning cost: one pass
+// walks the main queue once per victim it relegates.
+const relegationInterval = 500 * sim.Millisecond
+
 // relegationPass is the queue-wide projection (throttled): walk the main
 // queue in priority order, accumulate backlog, and find requests that will
 // miss deadlines given the traffic ahead of them. Low-priority requests are
@@ -110,7 +115,7 @@ func (s *Scheduler) relegate(r *request.Request, now sim.Time, reason string) {
 //
 //qoserve:hotpath
 func (s *Scheduler) relegationPass(now sim.Time) {
-	if now-s.lastRelegationPass < s.opts.RelegationInterval {
+	if now-s.lastRelegationPass < relegationInterval {
 		return
 	}
 	s.lastRelegationPass = now

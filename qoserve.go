@@ -139,6 +139,9 @@ const (
 	PolicySarathiSRPF Policy = "sarathi-srpf"
 	// PolicyMedha is Medha's TBT-pinned adaptive chunking under FCFS.
 	PolicyMedha Policy = "medha"
+	// PolicyVLLM is vanilla vLLM: whole prompts in prefill-only
+	// iterations, served first-come-first-served ahead of decodes.
+	PolicyVLLM Policy = "vllm"
 )
 
 // QoServeTuning exposes the QoServe scheduler's knobs; the zero value means
@@ -242,8 +245,8 @@ type Options struct {
 	// Classes declares the QoS classes requests may reference
 	// (default DefaultClasses()).
 	Classes []Class
-	// Chunk overrides the fixed token budget for Sarathi policies
-	// (default 256) and the TBT target chunk cap for Medha.
+	// Chunk overrides the fixed token budget of the Sarathi policies
+	// (default 256). Medha (chunk cap 4096) and vLLM ignore it.
 	Chunk int
 	// QoServe tunes the QoServe policy.
 	QoServe QoServeTuning

@@ -51,6 +51,7 @@ func TestServeAllPolicies(t *testing.T) {
 	for _, p := range []qoserve.Policy{
 		qoserve.PolicyQoServe, qoserve.PolicySarathiFCFS, qoserve.PolicySarathiEDF,
 		qoserve.PolicySarathiSJF, qoserve.PolicySarathiSRPF, qoserve.PolicyMedha,
+		qoserve.PolicyVLLM,
 	} {
 		report, err := qoserve.Serve(qoserve.Options{Policy: p}, reqs)
 		if err != nil {

@@ -116,6 +116,8 @@ func factoryFor(o Options, mc model.Config) (cluster.SchedulerFactory, error) {
 		}
 		tbt := 50 * sim.Millisecond
 		return func() sched.Scheduler { return sched.NewMedha(pred, tbt, 4096) }, nil
+	case PolicyVLLM:
+		return func() sched.Scheduler { return sched.NewVLLM(0) }, nil
 	default:
 		return nil, fmt.Errorf("qoserve: unknown policy %q", o.Policy)
 	}
