@@ -43,10 +43,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSortColumn -fuzztime $(FUZZTIME) ./internal/predictor
 	$(GO) test -run '^$$' -fuzz FuzzFitTree -fuzztime $(FUZZTIME) ./internal/predictor
 
-# Static analysis gate: the repo's own contract analyzers (determinism,
-# hot-path allocation, trace hooks, guarded fields, atomic-field
-# discipline, frozen snapshots, no-silent-drop outcomes, metric wiring)
-# plus staticcheck and govulncheck when they are installed. The external
+# Static analysis gate: gofmt (every .go file outside the benchmark's
+# build directory must already be formatted), the repo's own contract
+# analyzers (determinism, hot-path allocation, trace hooks, guarded
+# fields, atomic-field discipline, frozen snapshots, no-silent-drop
+# outcomes, metric wiring) plus staticcheck and govulncheck when they are
+# installed. The external
 # tools are optional locally — CI installs pinned versions and runs them
 # unconditionally — but qoservevet itself always runs and must exit clean.
 #
@@ -59,7 +61,12 @@ LINT_SUPPRESSION_BUDGET ?= 14
 LINT_REPORT ?= /tmp/qoservevet.json
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
+GOFMT ?= gofmt
 lint:
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/qoservevet -json -o $(LINT_REPORT) ./...
 	$(GO) run ./cmd/qoservevet -suppressions -budget $(LINT_SUPPRESSION_BUDGET) ./...
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
@@ -80,7 +87,8 @@ lint:
 # benchmark module's own vet and tests (perfbench/ is a separate Go
 # module, so ./... at the root does not reach it), the fixed-seed gateway
 # smoke (loadgen-smoke: every request completes, no stream event is
-# dropped silently), a short fuzzing pass, then the short benchmark pass.
+# dropped silently), a short fuzzing pass, the short benchmark pass, and
+# the one-pass KV-transfer bench smoke, as CI's verify job runs them.
 # The allocation guards (TestPlanBatchSteadyStateAllocFree,
 # TestForestPredictAllocFree, TestTrainAllocCeiling, TestLoadAllocCeiling)
 # run as ordinary tests, so an alloc regression on the plan path, in
@@ -95,6 +103,7 @@ verify:
 	$(MAKE) loadgen-smoke
 	$(MAKE) fuzz
 	$(MAKE) bench-short
+	$(MAKE) bench-pr8 BENCH8TIME=1x BENCH8OUT=/tmp/BENCH_PR8_smoke.json
 	$(MAKE) bench-gate
 
 # Benchmark baseline: one pass over every table/figure benchmark plus the

@@ -52,9 +52,9 @@ var hotpathStdlibAllowed = map[string]bool{
 	// work on the live serving hot path.
 	"(*sync/atomic.Uint64).Add": true, "(*sync/atomic.Uint64).Load": true,
 	"(*sync/atomic.Uint64).Store": true,
-	"(*sync/atomic.Int64).Add":   true, "(*sync/atomic.Int64).Load": true,
+	"(*sync/atomic.Int64).Add":    true, "(*sync/atomic.Int64).Load": true,
 	"(*sync/atomic.Int64).Store": true,
-	"(*sync/atomic.Bool).Load": true,
+	"(*sync/atomic.Bool).Load":   true,
 	// Load on an atomic pointer reads a word; it never allocates. (Store
 	// is deliberately absent: publishing implies the caller built the
 	// pointee, which is the allocation to keep off the hot path.)

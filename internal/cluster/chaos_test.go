@@ -363,10 +363,10 @@ func TestClusterRoutesAroundDownReplica(t *testing.T) {
 	scheduleArrivals(engine, c, trace)
 	engine.Run()
 	reps := c.Replicas()
-	if got := len(reps[1].Served()); got != 0 {
+	if got := reps[1].Submitted(); got != 0 {
 		t.Errorf("down replica served %d requests", got)
 	}
-	if got := len(reps[0].Served()) + len(reps[2].Served()); got != 30 {
+	if got := reps[0].Submitted() + reps[2].Submitted(); got != 30 {
 		t.Errorf("survivors served %d, want 30", got)
 	}
 }

@@ -329,25 +329,18 @@ func RunSiloed(cfg model.Config, plan SiloPlan, trace []*request.Request, horizo
 		silos[class] = c
 	}
 	for _, r := range trace {
-		silo, ok := silos[r.Class.Name]
-		if !ok {
+		if _, ok := silos[r.Class.Name]; !ok {
 			return nil, fmt.Errorf("cluster: no silo for class %q", r.Class.Name)
 		}
-		r := r
-		target := silo
-		engine.AtPriority(r.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-			target.Submit(r)
-		}))
 	}
+	sim.Feed(engine, trace, (*request.Request).ArrivalTime, func(r *request.Request) {
+		silos[r.Class.Name].Submit(r)
+	})
 	end := engine.RunUntil(horizon)
 	return metrics.NewSummary(trace, end, plan.TotalReplicas()), nil
 }
 
+// scheduleArrivals feeds the trace to c at its arrival times.
 func scheduleArrivals(engine *sim.Engine, c *Cluster, trace []*request.Request) {
-	for _, r := range trace {
-		r := r
-		engine.AtPriority(r.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-			c.Submit(r)
-		}))
-	}
+	sim.Feed(engine, trace, (*request.Request).ArrivalTime, c.Submit)
 }

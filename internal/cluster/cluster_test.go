@@ -63,7 +63,7 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	scheduleArrivals(engine, c, trace)
 	engine.Run()
 	for i, rep := range c.Replicas() {
-		if got := len(rep.Served()); got != 30 {
+		if got := rep.Submitted(); got != 30 {
 			t.Errorf("replica %d served %d, want 30", i, got)
 		}
 	}
@@ -259,7 +259,7 @@ func TestBalancers(t *testing.T) {
 	// SetBalancer is honored by Submit.
 	c.SetBalancer(LeastLoaded{})
 	c.Submit(trace[5])
-	if got := len(c.Replicas()[2].Served()); got != 1 {
+	if got := c.Replicas()[2].Submitted(); got != 1 {
 		t.Fatalf("replica 2 served %d, want 1", got)
 	}
 }

@@ -184,12 +184,7 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 	// KV transfer and the decode handoff.
 	clones := PrefillOnly(trace)
 	var transferTimes []sim.Time
-	for i := range clones {
-		clone := clones[i]
-		engine.AtPriority(clone.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-			prefillTier.Submit(clone)
-		}))
-	}
+	sim.Feed(engine, clones, (*request.Request).ArrivalTime, prefillTier.Submit)
 
 	// A fine-grained periodic sweep translates clone completions into
 	// transfer events; the 1 ms period bounds detection skew, negligible

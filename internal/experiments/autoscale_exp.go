@@ -4,6 +4,7 @@ import (
 	"qoserve/internal/autoscale"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
+	"qoserve/internal/request"
 	"qoserve/internal/sim"
 	"qoserve/internal/workload"
 )
@@ -76,12 +77,7 @@ func runAutoscale(e *Env) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range tr {
-		r := r
-		engine.AtPriority(r.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-			fleet.Submit(r)
-		}))
-	}
+	sim.Feed(engine, tr, (*request.Request).ArrivalTime, fleet.Submit)
 	last := tr[len(tr)-1].Arrival
 	engine.At(last+sim.Second, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) { fleet.Stop() }))
 	end := engine.RunUntil(horizon)

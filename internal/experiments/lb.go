@@ -4,6 +4,7 @@ import (
 	"qoserve/internal/cluster"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
+	"qoserve/internal/request"
 	"qoserve/internal/sim"
 	"qoserve/internal/workload"
 )
@@ -43,12 +44,7 @@ func runLB(e *Env) error {
 			return err
 		}
 		c.SetBalancer(b.mk())
-		for _, r := range trace {
-			r := r
-			engine.AtPriority(r.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-				c.Submit(r)
-			}))
-		}
+		sim.Feed(engine, trace, (*request.Request).ArrivalTime, c.Submit)
 		end := engine.RunUntil(Horizon(trace))
 		sum := metrics.NewSummary(trace, end, replicas)
 		e.printf("%-16s%16.2f%18.2f%16.2f\n", b.name,

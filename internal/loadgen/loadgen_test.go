@@ -39,8 +39,8 @@ func newGateway(t *testing.T, replicas int) *server.Server {
 	srv, err := server.New(server.Config{
 		Model:            model.Llama3_8B_A100_TP1(),
 		SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
-		Replicas: replicas,
-		Classes:  qos.Table3(),
+		Replicas:         replicas,
+		Classes:          qos.Table3(),
 		// Modest acceleration: Q1's 6s TTFT budget is 30ms of wall time,
 		// orders of magnitude above the queueing delay this load causes, so
 		// wall-clock jitter cannot flip violation tallies between replays.

@@ -20,22 +20,24 @@ type Outcome struct {
 	Class         string
 	Kind          qos.Kind
 	Priority      qos.Priority
-	Relegated     bool
 	Arrival       sim.Time
 	PromptTokens  int
 	DecodeTokens  int
-	Completed     bool
 	TTFT          sim.Time // valid if FirstToken true
-	FirstToken    bool
 	TTLT          sim.Time // valid if Completed
 	MaxTBT        sim.Time
 	TBTViolations int
-	Violated      bool // missed its SLO (TTFT or TTLT per class kind)
 	// Retries counts re-enqueues after replica failures; FailedReason is
 	// non-empty when the serving layer permanently gave up (such requests
 	// are always Violated).
 	Retries      int
 	FailedReason string
+	// The flags sit together so they share one word: 128 bytes per
+	// outcome instead of 152.
+	Relegated  bool
+	Completed  bool
+	FirstToken bool
+	Violated   bool // missed its SLO (TTFT or TTLT per class kind)
 }
 
 // OutcomeOf snapshots a request's result as of time end. A request that

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
@@ -321,5 +322,17 @@ func TestJainFairness(t *testing.T) {
 	}, 1000*sim.Second, 1)
 	if got := allBad.JainFairness(groups); got != 1 {
 		t.Errorf("all-violated index = %v, want 1", got)
+	}
+}
+
+// TestOutcomePacked pins Outcome's layout on 64-bit platforms: its four
+// flags share one word, so a summary of n requests holds 128n bytes of
+// outcomes rather than 152n.
+func TestOutcomePacked(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Outcome{}); got != 128 {
+		t.Fatalf("Outcome is %d bytes, want 128", got)
 	}
 }

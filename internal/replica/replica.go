@@ -54,7 +54,7 @@ type Replica struct {
 	kvDeferred uint64
 	rejected   uint64
 	prefixHit  uint64 // prompt tokens credited from the prefix cache
-	served     []*request.Request
+	submitted  uint64
 }
 
 // activeSet holds a replica's accepted requests in submission order, so a
@@ -120,7 +120,7 @@ func (r *Replica) Submit(req *request.Request) {
 		panic(fmt.Sprintf("replica: submit request %d to down replica", req.ID))
 	}
 	now := r.engine.Now()
-	r.served = append(r.served, req)
+	r.submitted++
 	if !r.core.Fits(req.TotalTokens()) {
 		r.rejected++
 		return
@@ -136,8 +136,9 @@ func (r *Replica) Submit(req *request.Request) {
 // exceeds the replica's KV capacity.
 func (r *Replica) Rejected() uint64 { return r.rejected }
 
-// Served returns every request this replica has accepted.
-func (r *Replica) Served() []*request.Request { return r.served }
+// Submitted counts the requests handed to this replica, rejected ones
+// included, over its lifetime.
+func (r *Replica) Submitted() uint64 { return r.submitted }
 
 // Iterations is the number of executed batches.
 func (r *Replica) Iterations() uint64 { return r.iterations }

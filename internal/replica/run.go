@@ -18,15 +18,7 @@ func Run(cfg model.Config, sch sched.Scheduler, trace []*request.Request, horizo
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, req := range trace {
-		req := req
-		// Priority -1 delivers arrivals before any iteration-completion
-		// event at the same timestamp, so a completing iteration can
-		// batch a simultaneous arrival.
-		engine.AtPriority(req.Arrival, -1, sim.EventFunc(func(_ *sim.Engine, _ sim.Time) {
-			rep.Submit(req)
-		}))
-	}
+	sim.Feed(engine, trace, (*request.Request).ArrivalTime, rep.Submit)
 	end := engine.RunUntil(horizon)
 	return metrics.NewSummary(trace, end, 1), rep, nil
 }

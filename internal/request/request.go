@@ -152,6 +152,10 @@ func (r *Request) ContextLen() int {
 	return r.PrefilledTokens + r.DecodedTokens
 }
 
+// ArrivalTime returns r.Arrival. Its method expression is the arrival
+// function sim.Feed takes to feed a trace.
+func (r *Request) ArrivalTime() sim.Time { return r.Arrival }
+
 // TotalTokens is the final context length at completion.
 //
 //qoserve:hotpath

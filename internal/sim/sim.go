@@ -5,6 +5,13 @@
 // virtual clock. Determinism is guaranteed by a total order on events
 // (time, then priority, then insertion sequence), so a simulation with a
 // fixed workload seed always produces byte-identical results.
+//
+// Trace arrivals enter through Feed, which keeps one pending arrival event
+// instead of one per request, so the event heap holds only in-flight work.
+// The arrival-order rule it keeps is the one pre-scheduling every arrival
+// at priority -1 would give: arrivals fire in time order, equal times in
+// trace order, each before any priority-0 event of its instant and after
+// any fault injection (priority -2) of it.
 package sim
 
 import (
