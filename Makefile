@@ -107,14 +107,14 @@ verify:
 	$(MAKE) bench-gate
 
 # Benchmark baseline: one pass over every table/figure benchmark plus the
-# scheduler/predictor hot-path micro-benchmarks, folded into BENCH_PR3.json
+# scheduler, predictor and KV-cache micro-benchmarks, folded into BENCH_PR3.json
 # (committed trajectory file; CI archives it as an artifact). BENCHTIME=1x
 # keeps it cheap enough for CI; raise it locally for tighter ns/op numbers.
 BENCHTIME ?= 1x
 BENCHOUT  ?= BENCH_PR3.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . | tee /tmp/bench_experiments.txt
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/predictor | tee /tmp/bench_micro.txt
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/predictor ./internal/kvcache | tee /tmp/bench_micro.txt
 	$(GO) run ./cmd/benchjson -o $(BENCHOUT) \
 		-meta benchtime=$(BENCHTIME) \
 		/tmp/bench_experiments.txt /tmp/bench_micro.txt
@@ -125,7 +125,7 @@ bench:
 # minutes even at -benchtime 1x). Writes a throwaway snapshot for the CI
 # artifact; the committed BENCH_PR3.json is only refreshed via `make bench`.
 bench-short:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/predictor | tee /tmp/bench_micro.txt
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/predictor ./internal/kvcache | tee /tmp/bench_micro.txt
 	$(GO) run ./cmd/benchjson -o /tmp/BENCH_short.json -meta mode=short /tmp/bench_micro.txt
 
 # Micro-benchmarks across all packages.

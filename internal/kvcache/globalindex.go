@@ -13,6 +13,15 @@
 // cache — whose membership is quiescent even though pins churn — publishes
 // nothing at all.
 //
+// Publication costs what changed, not the whole cache. A manager builds
+// a sharded view of its membership at its first export (a manager that
+// never publishes builds none). After that, a block creation or eviction
+// copies the small shard it touches, once per export, and an export copies
+// only the shard table, so successive snapshots share every shard the
+// changes between them did not touch. An admission that creates and evicts
+// a few dozen blocks costs a few dozen shard copies, however large the
+// cache.
+//
 // Snapshots are epoch-stamped so a reader can tell two publications of
 // the same slot apart. They live only inside one process: the gateway
 // probes them in place of its replicas' locked caches.
@@ -26,6 +35,8 @@ package kvcache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -33,6 +44,11 @@ import (
 // chain hashes resident in either tier, plus tier occupancy counts for
 // observability. Snapshots are immutable after construction; the global
 // index swaps whole snapshots atomically.
+//
+// The set is split into 2^k shards by a hash's top k bits, each a sorted
+// slice. Successive exports from one manager share every shard that the
+// membership changes between them did not touch, and the whole shard
+// table when nothing changed.
 //
 //qoserve:frozen
 type IndexSnapshot struct {
@@ -47,13 +63,13 @@ type IndexSnapshot struct {
 	HBMBlocks  int
 	DRAMBlocks int
 
-	hashes map[uint64]struct{}
+	shift  uint       // 64 - k: a hash's shard is h >> shift
+	shards [][]uint64 // 2^k sorted shards, never written after export
 }
 
 // NewIndexSnapshot builds a snapshot from an explicit hash set. hbm + dram
-// must equal len(hashes); duplicate hashes are impossible by construction
-// (the slice is folded into a set, so the caller must not pass duplicates —
-// they would silently shrink the set and break the tier sum).
+// must equal len(hashes), and the hashes must be distinct: a duplicate is
+// an error, as is a tier sum that does not match.
 func NewIndexSnapshot(blockTokens, hbm, dram int, hashes []uint64) (*IndexSnapshot, error) {
 	if blockTokens < 1 {
 		return nil, fmt.Errorf("kvcache: index block size %d", blockTokens)
@@ -61,17 +77,32 @@ func NewIndexSnapshot(blockTokens, hbm, dram int, hashes []uint64) (*IndexSnapsh
 	if hbm < 0 || dram < 0 {
 		return nil, fmt.Errorf("kvcache: index tier counts %d hbm, %d dram", hbm, dram)
 	}
-	set := make(map[uint64]struct{}, len(hashes))
-	for _, h := range hashes {
-		set[h] = struct{}{}
+	sorted := slices.Clone(hashes)
+	slices.Sort(sorted)
+	distinct := len(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			distinct--
+		}
 	}
-	if len(set) != len(hashes) {
-		return nil, fmt.Errorf("kvcache: index has %d hashes but only %d distinct", len(hashes), len(set))
+	if distinct != len(hashes) {
+		return nil, fmt.Errorf("kvcache: index has %d hashes but only %d distinct", len(hashes), distinct)
 	}
-	if hbm+dram != len(set) {
-		return nil, fmt.Errorf("kvcache: index tiers %d+%d != %d hashes", hbm, dram, len(set))
+	if hbm+dram != len(hashes) {
+		return nil, fmt.Errorf("kvcache: index tiers %d+%d != %d hashes", hbm, dram, len(hashes))
 	}
-	return &IndexSnapshot{BlockTokens: blockTokens, HBMBlocks: hbm, DRAMBlocks: dram, hashes: set}, nil
+	// Sorted order groups each shard's hashes into one run.
+	shift := shardShift(len(hashes))
+	shards := make([][]uint64, 1<<(64-shift))
+	for len(sorted) > 0 {
+		s := sorted[0] >> shift
+		n := 1
+		for n < len(sorted) && sorted[n]>>shift == s {
+			n++
+		}
+		shards[s], sorted = sorted[:n:n], sorted[n:]
+	}
+	return &IndexSnapshot{BlockTokens: blockTokens, HBMBlocks: hbm, DRAMBlocks: dram, shift: shift, shards: shards}, nil
 }
 
 // Blocks is the number of resident prefix blocks the snapshot advertises.
@@ -79,7 +110,7 @@ func (s *IndexSnapshot) Blocks() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.hashes)
+	return s.HBMBlocks + s.DRAMBlocks
 }
 
 // Contains reports whether the snapshot advertises the block hash.
@@ -89,8 +120,7 @@ func (s *IndexSnapshot) Contains(h uint64) bool {
 	if s == nil {
 		return false
 	}
-	_, ok := s.hashes[h]
-	return ok
+	return shardHas(s.shards[h>>s.shift], h, s.shift)
 }
 
 // MatchTokens walks the prefix chain and reports how many prompt tokens
@@ -105,7 +135,7 @@ func (s *IndexSnapshot) MatchTokens(chain []uint64) int {
 	}
 	n := 0
 	for _, h := range chain {
-		if _, ok := s.hashes[h]; !ok {
+		if !s.Contains(h) {
 			break
 		}
 		n++
@@ -113,9 +143,67 @@ func (s *IndexSnapshot) MatchTokens(chain []uint64) int {
 	return n * s.BlockTokens
 }
 
+// shardTarget is the mean number of hashes per shard at full capacity:
+// touching a shard costs a copy of about 256 bytes, and the shard table
+// stays a fraction of the hashes it indexes.
+const shardTarget = 32
+
+// shardShift is 64 - k for a set of up to n hashes, where 2^k is the
+// fewest shards that hold n at no more than shardTarget each.
+func shardShift(n int) uint {
+	return 64 - uint(bits.Len(uint(max(n-1, 0)/shardTarget)))
+}
+
+// shardHas reports whether shard, a sorted shard of a set split by the
+// top 64-shift bits, holds h. A shard's hashes spread evenly over its
+// range, so h's offset in that range guesses its rank to within a few
+// places: a short scan from the guess settles most probes, and a binary
+// search of the rest keeps clustered hashes logarithmic.
+//
+//qoserve:hotpath
+func shardHas(shard []uint64, h uint64, shift uint) bool {
+	n := uint(len(shard))
+	if n == 0 {
+		return false
+	}
+	i := uint((h << (64 - shift) >> 32) * uint64(n) >> 32)
+	if shard[i] < h {
+		// The first hash >= h lies above i.
+		for j, end := i+1, min(i+4, n); j < end; j++ {
+			if shard[j] >= h {
+				return shard[j] == h
+			}
+		}
+		return i+4 < n && sortedHas(shard[i+4:], h)
+	}
+	// The first hash >= h lies at or below i.
+	end := i - min(i, 3)
+	for j := i; j > end; j-- {
+		if shard[j-1] < h {
+			return shard[j] == h
+		}
+	}
+	return sortedHas(shard[:end+1], h)
+}
+
+// sortedHas reports whether the sorted slice holds h, by binary search.
+//
+//qoserve:hotpath
+func sortedHas(sorted []uint64, h uint64) bool {
+	i, n := uint(0), uint(len(sorted))
+	for n > 1 {
+		half := n / 2
+		if j := i + half; sorted[j] <= h {
+			i = j
+		}
+		n -= half
+	}
+	return n == 1 && sorted[i] == h
+}
+
 // GlobalIndex holds one published IndexSnapshot per replica behind an
 // atomic pointer. Publishing swaps the whole snapshot; probing is a single
-// pointer load plus a read-only map walk. There are no locks anywhere.
+// pointer load plus read-only shard searches. There are no locks anywhere.
 type GlobalIndex struct {
 	slots []atomic.Pointer[IndexSnapshot]
 }
@@ -189,27 +277,114 @@ func (g *GlobalIndex) BestMatch(n int, chain []uint64) (holder, hitTokens int) {
 	return holder, hitTokens
 }
 
-// IndexVersion is a counter of membership-affecting mutations (block
-// creation, demotion, eviction, reset) since construction. Pin churn on a
-// warm cache does not change membership and does not bump the version, so
-// "version unchanged" is a cheap steady-state test for "nothing to
-// republish".
+// IndexVersion is a counter of mutations that change membership or tier
+// counts (block creation, demotion, promotion, eviction, reset) since
+// construction. Pin churn on a warm cache changes neither and does not
+// bump the version, so "version unchanged" is a cheap steady-state test
+// for "nothing to republish".
 func (m *Manager) IndexVersion() uint64 { return m.version }
 
 // ExportIndex builds a publishable snapshot of the manager's current block
 // membership. The snapshot is independent of the manager; publish it with
 // GlobalIndex.Publish.
+//
+// The first export builds the manager's sharded view of its membership
+// from the resident blocks. From then on, the first block creation or
+// eviction that touches a shard after an export copies that shard, and an
+// export copies only the shard table: successive snapshots share every
+// shard the admissions between them did not touch. An export after tier
+// moves alone reuses the previous table outright.
 func (m *Manager) ExportIndex() *IndexSnapshot {
-	hashes := make(map[uint64]struct{}, len(m.nodes))
-	for h := range m.nodes {
-		hashes[h] = struct{}{}
+	if m.view == nil {
+		m.view = newShardView(m.totalBlocks+m.dramBlocks, m.nodes)
 	}
 	return &IndexSnapshot{
 		BlockTokens: m.blockTokens,
 		HBMBlocks:   len(m.nodes) - m.dramUsed,
 		DRAMBlocks:  m.dramUsed,
-		hashes:      hashes,
+		shift:       m.view.shift,
+		shards:      m.view.export(),
 	}
+}
+
+// shardView is a manager's membership in the sharded form snapshots
+// carry, copy-on-write: a shard is shared with the last export until the
+// manager first edits it, which copies it, so no exported shard is ever
+// written.
+type shardView struct {
+	shift   uint
+	shards  [][]uint64 // sorted; shards[s] is the manager's alone if owned[s]
+	owned   []bool
+	changed bool       // shards differs from pub
+	pub     [][]uint64 // shard table of the last export
+}
+
+// newShardView indexes nodes in shards sized for a cache of capacity
+// blocks.
+func newShardView(capacity int, nodes map[uint64]*prefixBlock) *shardView {
+	shift := shardShift(capacity)
+	n := 1 << (64 - shift)
+	v := &shardView{shift: shift, shards: make([][]uint64, n), owned: make([]bool, n), changed: true}
+	for h := range nodes {
+		s := h >> shift
+		v.shards[s] = append(v.shards[s], h)
+	}
+	for s, sh := range v.shards {
+		slices.Sort(sh)
+		v.owned[s] = true
+	}
+	return v
+}
+
+// edit returns shard s for writing, copying it first if the last export
+// shares it. The copy has room for one insert.
+func (v *shardView) edit(s uint64) []uint64 {
+	if !v.owned[s] {
+		sh := make([]uint64, len(v.shards[s]), len(v.shards[s])+1)
+		copy(sh, v.shards[s])
+		v.shards[s], v.owned[s] = sh, true
+	}
+	v.changed = true
+	return v.shards[s]
+}
+
+// add records a created block.
+func (v *shardView) add(h uint64) {
+	s := h >> v.shift
+	sh := v.edit(s)
+	i, _ := slices.BinarySearch(sh, h)
+	v.shards[s] = slices.Insert(sh, i, h)
+}
+
+// remove records an evicted block.
+func (v *shardView) remove(h uint64) {
+	s := h >> v.shift
+	if i, ok := slices.BinarySearch(v.shards[s], h); ok {
+		v.shards[s] = slices.Delete(v.edit(s), i, i+1)
+	}
+}
+
+// reset records that every block is gone. Dropping a shard writes
+// nothing, so it needs no copy.
+func (v *shardView) reset() {
+	for s, sh := range v.shards {
+		if len(sh) > 0 {
+			v.shards[s], v.owned[s] = nil, true
+			v.changed = true
+		}
+	}
+}
+
+// export returns the shard table for a new snapshot: the previous one
+// when no shard changed, else a copy of the manager's, whose shards the
+// manager then shares until it edits them again.
+func (v *shardView) export() [][]uint64 {
+	if v.changed {
+		v.pub = slices.Clone(v.shards)
+		clear(v.owned)
+		v.changed = false
+	}
+	return v.pub
 }
 
 // TierUtilization reports each tier's occupancy fraction: HBM counts

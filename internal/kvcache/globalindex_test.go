@@ -111,9 +111,105 @@ func TestNewIndexSnapshotValidates(t *testing.T) {
 	}
 }
 
+// TestIndexSnapshotClusteredHashes: hashes a client picks need not be
+// spread out. Sequential values all land in one shard, where a probe's
+// first guess is far off; every probe must still answer exactly.
+func TestIndexSnapshotClusteredHashes(t *testing.T) {
+	var hashes []uint64
+	want := map[uint64]bool{}
+	for i := uint64(1); i <= 3000; i++ {
+		hashes = append(hashes, 3*i)
+		want[3*i] = true
+	}
+	for _, h := range []uint64{^uint64(0), ^uint64(0) - 7, 1 << 63} {
+		hashes = append(hashes, h)
+		want[h] = true
+	}
+	s, err := NewIndexSnapshot(16, len(hashes), 0, hashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func(h uint64) {
+		if s.Contains(h) != want[h] {
+			t.Fatalf("Contains(%d) = %v, want %v", h, s.Contains(h), want[h])
+		}
+	}
+	for h := uint64(0); h <= 9010; h++ {
+		probe(h)
+	}
+	for _, h := range hashes {
+		probe(h - 1)
+		probe(h + 1)
+	}
+}
+
 func TestIndexMatchTokensNilSafe(t *testing.T) {
 	var s *IndexSnapshot
 	if s.MatchTokens(SyntheticChain(1, 0, 3)) != 0 || s.Blocks() != 0 || s.Contains(1) {
 		t.Fatal("nil snapshot must match nothing")
+	}
+}
+
+// fullCache returns a manager whose 8,192-block HBM tier (the per-replica
+// cache of perfbench's session_prefix workload) is filled with unpinned
+// prefix blocks, and the chains that filled it.
+func fullCache(b *testing.B) (*Manager, [][]uint64) {
+	b.Helper()
+	m, err := NewManager(1<<17, DefaultBlockTokens)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var chains [][]uint64
+	for key := uint64(1); m.FreeTokens() > 0; key++ {
+		chain := SyntheticChain(key, 0, 64)
+		m.AcquirePrefix(key, chain)
+		m.Release(key)
+		chains = append(chains, chain)
+	}
+	return m, chains
+}
+
+// indexSink keeps benchmark results live.
+var indexSink *IndexSnapshot
+
+// BenchmarkExportIndex is one gateway admit cycle on a full cache: a
+// 30-block admission that evicts 30 cold blocks and creates 30, then the
+// export Core.Publish makes of the changed membership.
+func BenchmarkExportIndex(b *testing.B) {
+	m, _ := fullCache(b)
+	indexSink = m.ExportIndex()
+	// Fresh chains cycle through a ring far larger than the cache, so every
+	// admission misses and creates all of its blocks.
+	chains := make([][]uint64, 1024)
+	for i := range chains {
+		chains[i] = SyntheticChain(1<<32+uint64(i), 0, 30)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := uint64(i) + 1<<40
+		m.AcquirePrefix(id, chains[i%len(chains)])
+		m.Release(id)
+		indexSink = m.ExportIndex()
+	}
+}
+
+var matchSink int
+
+// BenchmarkIndexMatchTokens probes a 150-block resident chain against a
+// snapshot published from a full cache: one replica's share of a routing
+// decision's prefix probe.
+func BenchmarkIndexMatchTokens(b *testing.B) {
+	m, _ := fullCache(b)
+	chain := SyntheticChain(1<<33, 0, 150)
+	m.AcquirePrefix(1<<40, chain)
+	snap := m.ExportIndex()
+	if snap.MatchTokens(chain) != 150*DefaultBlockTokens {
+		b.Fatal("chain not resident")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matchSink = snap.MatchTokens(chain)
 	}
 }

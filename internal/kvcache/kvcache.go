@@ -144,6 +144,9 @@ type Manager struct {
 	// it deliberately survives Reset so an index consumer never misses
 	// the transition back to empty.
 	version uint64
+	// view is the exportable membership, nil until the first ExportIndex:
+	// a manager that never publishes keeps no second copy of it.
+	view *shardView
 
 	// Statistics (lifetime; Reset clears them).
 	hitTokens    uint64
@@ -300,6 +303,9 @@ func (m *Manager) demote(b *prefixBlock) {
 	m.freeBlocks++
 	if m.dramBlocks == 0 {
 		delete(m.nodes, b.hash)
+		if m.view != nil {
+			m.view.remove(b.hash)
+		}
 		m.hbmEvictions++
 		return
 	}
@@ -310,6 +316,9 @@ func (m *Manager) demote(b *prefixBlock) {
 	if m.dramUsed > m.dramBlocks {
 		cold := m.dramLRU.popFront()
 		delete(m.nodes, cold.hash)
+		if m.view != nil {
+			m.view.remove(cold.hash)
+		}
 		m.dramUsed--
 		m.dramEvicted++
 	}
@@ -382,14 +391,9 @@ func (m *Manager) AcquirePrefix(id uint64, chain []uint64) AcquireResult {
 			break
 		}
 		if b.dram {
-			if !m.makeRoom(1) {
+			if !m.promote(b) {
 				break // cannot promote; stop matching here
 			}
-			m.dramLRU.remove(b)
-			m.dramUsed--
-			b.dram = false
-			m.freeBlocks--
-			m.version++
 			res.ReloadTokens += m.blockTokens
 		} else if b.refs == 0 {
 			m.hbmLRU.remove(b)
@@ -407,14 +411,9 @@ func (m *Manager) AcquirePrefix(id uint64, chain []uint64) AcquireResult {
 			// DRAM, promote it structurally (the recompute overwrites it, so
 			// no transfer is charged).
 			if b.dram {
-				if !m.makeRoom(1) {
+				if !m.promote(b) {
 					break
 				}
-				m.dramLRU.remove(b)
-				m.dramUsed--
-				b.dram = false
-				m.freeBlocks--
-				m.version++
 			} else if b.refs == 0 {
 				m.hbmLRU.remove(b)
 			}
@@ -427,6 +426,9 @@ func (m *Manager) AcquirePrefix(id uint64, chain []uint64) AcquireResult {
 		}
 		b := &prefixBlock{hash: chain[i], refs: 1}
 		m.nodes[chain[i]] = b
+		if m.view != nil {
+			m.view.add(chain[i])
+		}
 		m.freeBlocks--
 		m.version++
 		pins = append(pins, b)
@@ -439,6 +441,21 @@ func (m *Manager) AcquirePrefix(id uint64, chain []uint64) AcquireResult {
 	m.reloadTokens += uint64(res.ReloadTokens)
 	m.notePeak()
 	return res
+}
+
+// promote moves DRAM-resident b back to HBM. It fails when no HBM block
+// can be freed, and when freeing one demoted a block into a full DRAM tier
+// whose coldest block was b itself: b is then evicted, not promotable.
+func (m *Manager) promote(b *prefixBlock) bool {
+	if !m.makeRoom(1) || m.nodes[b.hash] != b {
+		return false
+	}
+	m.dramLRU.remove(b)
+	m.dramUsed--
+	b.dram = false
+	m.freeBlocks--
+	m.version++
+	return true
 }
 
 // Release frees all private blocks held by request id and unpins its prefix
@@ -477,6 +494,9 @@ func (m *Manager) Reset() {
 	clear(m.held)
 	clear(m.pins)
 	clear(m.nodes)
+	if m.view != nil {
+		m.view.reset()
+	}
 	m.hbmLRU = lruList{}
 	m.dramLRU = lruList{}
 	m.hitTokens = 0

@@ -354,3 +354,30 @@ func BenchmarkMatch(b *testing.B) {
 		m.MatchTokens(chain)
 	}
 }
+
+// TestPromoteSelfEviction: promoting a DRAM block must make room in HBM
+// first, and when that demotion overflows a DRAM tier whose coldest block
+// is the one being promoted, the block is gone — the match stops there
+// rather than pinning a block the cache no longer holds.
+func TestPromoteSelfEviction(t *testing.T) {
+	m := mustTiered(t, Config{CapacityTokens: 2 * 16, DRAMTokens: 16})
+	a, b := SyntheticChain(1, 0, 1), SyntheticChain(2, 0, 1)
+	m.AcquirePrefix(1, a)
+	m.Release(1)
+	m.AcquirePrefix(2, b)
+	m.Release(2)
+	if !m.Grow(3, 16) { // demotes a, filling DRAM; HBM holds b and id 3
+		t.Fatal("grow failed")
+	}
+	res := m.AcquirePrefix(4, a) // room for a demotes b, which evicts a
+	m.checkInvariant()
+	if res.HitTokens != 0 || res.ReloadTokens != 0 {
+		t.Fatalf("credited %d hit, %d reload tokens for an evicted block", res.HitTokens, res.ReloadTokens)
+	}
+	if hbm, dram := m.CachedBlocks(); hbm != 1 || dram != 1 {
+		t.Fatalf("cached %d hbm, %d dram blocks, want a re-created in HBM and b in DRAM", hbm, dram)
+	}
+	if _, d := m.TierEvictions(); d != 1 {
+		t.Fatalf("%d DRAM evictions, want 1", d)
+	}
+}

@@ -209,8 +209,10 @@ func (c *Core) Release() {
 }
 
 // Publish exports the cache's block membership into the global index,
-// skipping the export when membership has not changed since the last one
-// (warm steady state).
+// skipping the export when the cache's IndexVersion has not changed since
+// the last one (warm steady state). The version also counts DRAM<->HBM
+// tier moves; an export after only those shares the previous snapshot's
+// shards and refreshes just the tier counts.
 func (c *Core) Publish() {
 	if c.index == nil {
 		return

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -160,5 +162,102 @@ func submitWithCacheLocked(t *testing.T, srv *Server) {
 	locked = false
 	for _, st := range got {
 		drain(st)
+	}
+}
+
+// TestGatewayIndexEqualsResidencyAtQuiesce checks the index contract end
+// to end: 40 sessions on three replicas overflow 1,024-block HBM tiers, so
+// admissions create and evict blocks and each one republishes. Follow-up
+// turns are served one at a time, so late admissions change a few shards
+// each. Once the gateway drains, every replica's published snapshot must
+// agree with its own cache on every submitted chain and every block of
+// it, and its index_epoch must have advanced.
+func TestGatewayIndexEqualsResidencyAtQuiesce(t *testing.T) {
+	const replicas, sessions = 3, 40
+	srv, err := New(Config{
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
+		Replicas:         replicas,
+		Balancer:         &cluster.PrefixAffinity{},
+		Classes:          qos.Table3(),
+		Timescale:        2000,
+		KV:               kvcache.Config{CapacityTokens: 1024 * kvcache.DefaultBlockTokens},
+
+		KVTransferBandwidth: 64e9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	var chains [][]uint64
+	submit := func(key uint64, turn int) *Stream {
+		prompt := 1500 + 40*turn
+		chain := kvcache.SyntheticChain(key, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
+		chains = append(chains, chain)
+		st, err := srv.Submit(Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var first []*Stream
+	for key := uint64(1); key <= sessions; key++ {
+		first = append(first, submit(key, 0))
+	}
+	for _, st := range first {
+		drain(st)
+	}
+	for turn := 1; turn <= 3; turn++ {
+		for key := uint64(1); key <= sessions; key++ {
+			drain(submit(key, turn))
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if kv := srv.KVStats(); kv.HBMEvictions == 0 {
+		t.Fatalf("nothing evicted: %+v", kv)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/load", nil))
+	var lr LoadResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil {
+		t.Fatal(err)
+	}
+	matched := 0
+	for i, rp := range srv.reps {
+		if lr.Replicas[i].IndexEpoch == 0 {
+			t.Errorf("replica %d: index_epoch never advanced", i)
+		}
+		snap := srv.prefixIdx.Snapshot(i)
+		rp.kvMu.Lock()
+		kv := rp.core.KV()
+		hbm, dram := kv.CachedBlocks()
+		if snap.HBMBlocks != hbm || snap.DRAMBlocks != dram {
+			t.Errorf("replica %d: snapshot advertises %d hbm + %d dram blocks, cache holds %d + %d",
+				i, snap.HBMBlocks, snap.DRAMBlocks, hbm, dram)
+		}
+		for j, chain := range chains {
+			got, want := snap.MatchTokens(chain), kv.MatchTokens(chain)
+			if got != want {
+				t.Errorf("replica %d chain %d: index matches %d tokens, cache %d", i, j, got, want)
+			}
+			matched += want
+			// Block by block too: an evicted block the index still lists
+			// would hide behind an earlier miss in the chain walk.
+			for k, h := range chain {
+				if cached := kv.MatchTokens(chain[k:k+1]) > 0; snap.Contains(h) != cached {
+					t.Errorf("replica %d chain %d block %d: index lists it %v, cache holds it %v", i, j, k, snap.Contains(h), cached)
+				}
+			}
+		}
+		rp.kvMu.Unlock()
+	}
+	if matched == 0 {
+		t.Fatal("no replica holds any submitted chain")
 	}
 }
