@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"qoserve/internal/cluster"
-	"qoserve/internal/qos"
 	"qoserve/internal/request"
-	"qoserve/internal/sim"
 )
 
 // CapacityOptions tunes the capacity-planning searches.
@@ -29,7 +27,6 @@ func (o CapacityOptions) search() cluster.SearchOptions {
 	return cluster.SearchOptions{
 		MaxViolations: maxViol,
 		Tolerance:     0.05,
-		HorizonFor:    capacityHorizon,
 	}
 }
 
@@ -38,25 +35,6 @@ func (o CapacityOptions) duration() time.Duration {
 		return 10 * time.Minute
 	}
 	return o.ProbeDuration
-}
-
-// capacityHorizon judges every probe request definitively: last arrival
-// plus the largest applicable SLO.
-func capacityHorizon(trace []*request.Request) sim.Time {
-	var last, maxSLO sim.Time
-	for _, r := range trace {
-		if r.Arrival > last {
-			last = r.Arrival
-		}
-		slo := r.Class.SLO.TTLT
-		if r.Class.Kind == qos.Interactive {
-			slo = r.Class.SLO.TTFT
-		}
-		if slo > maxSLO {
-			maxSLO = slo
-		}
-	}
-	return last + maxSLO + sim.Minute
 }
 
 // probeGen builds the capacity search's trace generator from a workload

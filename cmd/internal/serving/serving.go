@@ -3,8 +3,8 @@
 // the pieces server.Config takes. qoserved and qoserve-loadgen build their
 // gateway through Build, which loads the preset's shipped latency
 // predictor (internal/predictor/forests) rather than training one;
-// profilegen uses Hardware. Policies is the -policy list of these two
-// commands and of qoserve-sim, whose qoserve.Serve accepts the same names.
+// profilegen uses Hardware. The -policy names are cluster.Policies, the
+// table qoserve-sim's qoserve.Serve resolves through as well.
 package serving
 
 import (
@@ -17,7 +17,6 @@ import (
 	"qoserve/internal/predictor"
 	"qoserve/internal/predictor/forests"
 	"qoserve/internal/sched"
-	"qoserve/internal/sim"
 )
 
 // Hardware returns the cost model of a -hardware name. Every name is a
@@ -30,9 +29,6 @@ func Hardware(name string) (model.Config, error) {
 	}
 	return model.Config{}, fmt.Errorf("unknown hardware %q", name)
 }
-
-// Policies names the per-replica schedulers Build accepts.
-var Policies = []string{"qoserve", "sarathi-fcfs", "sarathi-edf", "sarathi-sjf", "sarathi-srpf", "vllm", "medha"}
 
 // Options are the shared flag values.
 type Options struct {
@@ -67,7 +63,7 @@ func Build(o Options) (Stack, error) {
 		return Stack{}, err
 	}
 	var forest *predictor.Forest
-	if o.Policy == "qoserve" || o.Policy == "medha" || o.Balancer == "predicted" {
+	if cluster.NeedsForest(o.Policy) || o.Balancer == "predicted" {
 		if forest, err = forests.Load(mc); err != nil {
 			return Stack{}, err
 		}
@@ -75,23 +71,8 @@ func Build(o Options) (Stack, error) {
 	}
 
 	st := Stack{Model: mc}
-	switch o.Policy {
-	case "qoserve":
-		st.SchedulerFactory = func() sched.Scheduler { return core.New(forest, core.DefaultOptions()) }
-	case "sarathi-fcfs":
-		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, o.Chunk) }
-	case "sarathi-edf":
-		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.EDF, o.Chunk) }
-	case "sarathi-sjf":
-		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.SJF, o.Chunk) }
-	case "sarathi-srpf":
-		st.SchedulerFactory = func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, o.Chunk) }
-	case "vllm":
-		st.SchedulerFactory = func() sched.Scheduler { return sched.NewVLLM(0) }
-	case "medha":
-		st.SchedulerFactory = func() sched.Scheduler { return sched.NewMedha(forest, 50*sim.Millisecond, 0) }
-	default:
-		return Stack{}, fmt.Errorf("unknown policy %q", o.Policy)
+	if st.SchedulerFactory, err = cluster.PolicyFactory(o.Policy, forest, o.Chunk, core.DefaultOptions()); err != nil {
+		return Stack{}, err
 	}
 
 	switch o.Balancer {

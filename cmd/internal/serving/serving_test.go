@@ -2,22 +2,37 @@ package serving
 
 import (
 	"testing"
-	"time"
 
-	"qoserve"
+	"qoserve/internal/cluster"
 )
 
-// TestPolicyResolversAgree feeds every -policy name through both
-// resolvers, Build (qoserved, qoserve-loadgen) and qoserve.Serve
-// (qoserve-sim): each accepts every listed name and rejects an unknown one.
-func TestPolicyResolversAgree(t *testing.T) {
-	reqs := []qoserve.Request{{Class: "Q1", PromptTokens: 100, DecodeTokens: 4}}
-	for _, name := range append(Policies, "nope") {
-		_, buildErr := Build(Options{Hardware: "llama3-8b", Policy: name, Balancer: "round-robin"})
-		_, serveErr := qoserve.Serve(qoserve.Options{Policy: qoserve.Policy(name), Horizon: time.Minute}, reqs)
-		want := name != "nope"
-		if (buildErr == nil) != want || (serveErr == nil) != want {
-			t.Errorf("policy %q: Build err = %v, Serve err = %v; want accepted = %v", name, buildErr, serveErr, want)
+// TestPolicyNames builds every -policy name through Build (qoserved,
+// qoserve-loadgen) and checks the scheduler it makes. The root package's
+// TestPolicyNames checks the same table through qoserve.Serve's resolver.
+func TestPolicyNames(t *testing.T) {
+	want := map[string]string{
+		"qoserve":      "QoServe",
+		"sarathi-fcfs": "Sarathi-FCFS",
+		"sarathi-edf":  "Sarathi-EDF",
+		"sarathi-sjf":  "Sarathi-SJF",
+		"sarathi-srpf": "Sarathi-SRPF",
+		"vllm":         "vLLM",
+		"medha":        "Medha",
+	}
+	if len(cluster.Policies) != len(want) {
+		t.Fatalf("cluster.Policies = %v, want the %d names below", cluster.Policies, len(want))
+	}
+	for _, name := range cluster.Policies {
+		st, err := Build(Options{Hardware: "llama3-8b", Policy: name, Balancer: "round-robin"})
+		if err != nil {
+			t.Errorf("policy %q: %v", name, err)
+			continue
 		}
+		if got := st.SchedulerFactory().Name(); got != want[name] {
+			t.Errorf("policy %q builds %q, want %q", name, got, want[name])
+		}
+	}
+	if _, err := Build(Options{Hardware: "llama3-8b", Policy: "nope", Balancer: "round-robin"}); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }

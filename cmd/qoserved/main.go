@@ -52,7 +52,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		hardware   = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
-		policyName = flag.String("policy", "qoserve", strings.Join(serving.Policies, " | "))
+		policyName = flag.String("policy", "qoserve", strings.Join(cluster.Policies, " | "))
 		timescale  = flag.Float64("timescale", 1, "virtual-time acceleration factor")
 		chunk      = flag.Int("chunk", 256, "fixed chunk for Sarathi policies")
 		traceDepth = flag.Int("trace", 1024, "iterations retained for /debug/trace (0 disables tracing)")

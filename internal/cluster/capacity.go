@@ -5,6 +5,7 @@ import (
 
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
+	"qoserve/internal/qos"
 	"qoserve/internal/request"
 	"qoserve/internal/sim"
 )
@@ -13,17 +14,34 @@ import (
 // call it repeatedly with candidate rates.
 type TraceGen func(qps float64) ([]*request.Request, error)
 
+// Horizon returns the cutoff for judging a trace: every request has either
+// completed or irrevocably missed its deadline by the last arrival plus the
+// largest TTFT/TTLT target plus a minute's margin. Running longer cannot
+// change a verdict; an unfinished request past its deadline counts as a
+// violation. The capacity searches judge every probe at it, because an
+// unbounded drain lets relaxed tiers finish inside their long deadlines no
+// matter the backlog.
+func Horizon(trace []*request.Request) sim.Time {
+	var last, maxSLO sim.Time
+	for _, r := range trace {
+		if r.Arrival > last {
+			last = r.Arrival
+		}
+		slo := r.Class.SLO.TTLT
+		if r.Class.Kind == qos.Interactive {
+			slo = r.Class.SLO.TTFT
+		}
+		if slo > maxSLO {
+			maxSLO = slo
+		}
+	}
+	return last + maxSLO + sim.Minute
+}
+
 // SearchOptions tunes the capacity searches.
 type SearchOptions struct {
 	// MaxViolations is the admissible violation fraction (paper: 1%).
 	MaxViolations float64
-	// Horizon bounds each probe run; sim.Forever drains fully.
-	Horizon sim.Time
-	// HorizonFor, when set, derives the horizon from each probe's trace
-	// (e.g. last arrival + max SLO), overriding Horizon. Sustained-load
-	// capacity measurements need this: an unbounded drain lets relaxed
-	// tiers finish inside their long deadlines no matter the backlog.
-	HorizonFor func([]*request.Request) sim.Time
 	// Tolerance ends the QPS bisection when hi-lo < Tolerance (default 0.05).
 	Tolerance float64
 	// MaxQPS bounds the upward search (default 64).
@@ -33,9 +51,6 @@ type SearchOptions struct {
 func (o SearchOptions) withDefaults() SearchOptions {
 	if o.MaxViolations == 0 {
 		o.MaxViolations = 0.01
-	}
-	if o.Horizon == 0 {
-		o.Horizon = sim.Forever
 	}
 	if o.Tolerance == 0 {
 		o.Tolerance = 0.05
@@ -57,11 +72,7 @@ func MaxGoodput(cfg model.Config, factory SchedulerFactory, gen TraceGen, opts S
 		if err != nil {
 			return nil, false, err
 		}
-		horizon := opts.Horizon
-		if opts.HorizonFor != nil {
-			horizon = opts.HorizonFor(trace)
-		}
-		sum, err := RunShared(cfg, 1, factory, trace, horizon)
+		sum, err := RunShared(cfg, 1, factory, trace, Horizon(trace))
 		if err != nil {
 			return nil, false, err
 		}
@@ -127,11 +138,7 @@ func MinReplicas(cfg model.Config, factory SchedulerFactory, gen func() ([]*requ
 		if err != nil {
 			return 0, nil, err
 		}
-		horizon := opts.Horizon
-		if opts.HorizonFor != nil {
-			horizon = opts.HorizonFor(trace)
-		}
-		sum, err := RunShared(cfg, mid, factory, trace, horizon)
+		sum, err := RunShared(cfg, mid, factory, trace, Horizon(trace))
 		if err != nil {
 			return 0, nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"qoserve/internal/autoscale"
+	"qoserve/internal/cluster"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
 	"qoserve/internal/request"
@@ -39,7 +40,7 @@ func runAutoscale(e *Env) error {
 	if err != nil {
 		return err
 	}
-	horizon := Horizon(trace)
+	horizon := cluster.Horizon(trace)
 	runSpan := horizon.Seconds()
 
 	e.printf("Per-replica QoServe capacity %.2f QPS; diurnal %.2f<->%.2f QPS\n\n",

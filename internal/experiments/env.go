@@ -25,7 +25,6 @@ import (
 	"qoserve/internal/model"
 	"qoserve/internal/predictor"
 	"qoserve/internal/profile"
-	"qoserve/internal/qos"
 	"qoserve/internal/request"
 	"qoserve/internal/sched"
 	"qoserve/internal/sim"
@@ -158,40 +157,18 @@ func (e *Env) TraceGen(ds workload.Dataset, tiers []workload.Tier, seed int64) c
 	}
 }
 
-// Horizon returns the cutoff for judging a trace: every request has either
-// completed or irrevocably missed its deadline by lastArrival + the largest
-// TTLT/TTFT target + a small margin. Running longer cannot change any
-// verdict; unfinished requests past their deadline count as violations.
-func Horizon(trace []*request.Request) sim.Time {
-	var last, maxSLO sim.Time
-	for _, r := range trace {
-		if r.Arrival > last {
-			last = r.Arrival
-		}
-		slo := r.Class.SLO.TTLT
-		if r.Class.Kind == qos.Interactive {
-			slo = r.Class.SLO.TTFT
-		}
-		if slo > maxSLO {
-			maxSLO = slo
-		}
-	}
-	return last + maxSLO + sim.Minute
-}
-
 // searchOpts are the default capacity-search options used throughout.
 func (e *Env) searchOpts() cluster.SearchOptions {
 	return cluster.SearchOptions{
 		MaxViolations: 0.01,
 		Tolerance:     0.1,
 		MaxQPS:        64,
-		HorizonFor:    Horizon,
 	}
 }
 
-// RunJudged simulates a shared cluster until the trace's horizon.
+// RunJudged simulates a shared cluster until the trace's judging horizon.
 func RunJudged(mc model.Config, n int, factory cluster.SchedulerFactory, trace []*request.Request) (*metrics.Summary, error) {
-	return cluster.RunShared(mc, n, factory, trace, Horizon(trace))
+	return cluster.RunShared(mc, n, factory, trace, cluster.Horizon(trace))
 }
 
 // printf writes a formatted line to the experiment output.

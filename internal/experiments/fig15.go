@@ -73,7 +73,7 @@ func runFig15a(e *Env) error {
 			}
 			qsv := core.New(pred, dcOnlyOptions())
 			qsv.EnableChunkLog()
-			if _, _, err := replica.Run(mc, qsv, trace, Horizon(trace)); err != nil {
+			if _, _, err := replica.Run(mc, qsv, trace, cluster.Horizon(trace)); err != nil {
 				return err
 			}
 			qsvLog = qsv.ChunkLog()
@@ -137,7 +137,7 @@ func runFig15a(e *Env) error {
 func medhaChunkTrace(e *Env, mc model.Config, trace []*request.Request) ([]int, error) {
 	m := sched.NewMedha(e.Predictor(mc), 50*sim.Millisecond, 4096)
 	rec := &chunkRecorder{inner: m}
-	if _, _, err := replica.Run(mc, rec, trace, Horizon(trace)); err != nil {
+	if _, _, err := replica.Run(mc, rec, trace, cluster.Horizon(trace)); err != nil {
 		return nil, err
 	}
 	return rec.chunks, nil
@@ -272,7 +272,7 @@ func runFig15b(e *Env) error {
 			Replicas: sizes,
 			ChunkFor: func(class string) int { return polyChunk[class] },
 			Policy:   sched.EDF,
-		}, trace, Horizon(trace))
+		}, trace, cluster.Horizon(trace))
 		if err != nil {
 			return mixResult{}, err
 		}
@@ -280,7 +280,7 @@ func runFig15b(e *Env) error {
 		if err != nil {
 			return mixResult{}, err
 		}
-		qsvSum, err := cluster.RunShared(mc, qsvGPUs, qsvFactory, qsvTrace, Horizon(qsvTrace))
+		qsvSum, err := cluster.RunShared(mc, qsvGPUs, qsvFactory, qsvTrace, cluster.Horizon(qsvTrace))
 		if err != nil {
 			return mixResult{}, err
 		}

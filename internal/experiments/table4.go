@@ -90,7 +90,7 @@ func runTable4(e *Env) error {
 				return sched.NewSarathi(sched.FCFS, siloChunk[class])
 			},
 		}
-		sum, err := cluster.RunSiloed(mc, plan, trace, Horizon(trace))
+		sum, err := cluster.RunSiloed(mc, plan, trace, cluster.Horizon(trace))
 		return plan.TotalReplicas(), sum, err
 	}
 	runShared := func(n int) (int, *metrics.Summary, error) {
@@ -98,7 +98,7 @@ func runTable4(e *Env) error {
 		if err != nil {
 			return 0, nil, err
 		}
-		sum, err := cluster.RunShared(mc, n, qsvFactory, trace, Horizon(trace))
+		sum, err := cluster.RunShared(mc, n, qsvFactory, trace, cluster.Horizon(trace))
 		return n, sum, err
 	}
 

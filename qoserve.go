@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"qoserve/internal/cluster"
 	"qoserve/internal/core"
 	"qoserve/internal/model"
 	"qoserve/internal/qos"
@@ -128,20 +129,20 @@ type Policy string
 const (
 	// PolicyQoServe is the paper's scheduler: dynamic chunking, hybrid
 	// prioritization, and eager relegation.
-	PolicyQoServe Policy = "qoserve"
+	PolicyQoServe Policy = cluster.PolicyQoServe
 	// PolicySarathiFCFS is chunked prefill served first-come-first-served.
-	PolicySarathiFCFS Policy = "sarathi-fcfs"
+	PolicySarathiFCFS Policy = cluster.PolicySarathiFCFS
 	// PolicySarathiEDF is chunked prefill served earliest-deadline-first.
-	PolicySarathiEDF Policy = "sarathi-edf"
+	PolicySarathiEDF Policy = cluster.PolicySarathiEDF
 	// PolicySarathiSJF is chunked prefill, shortest expected job first.
-	PolicySarathiSJF Policy = "sarathi-sjf"
+	PolicySarathiSJF Policy = cluster.PolicySarathiSJF
 	// PolicySarathiSRPF is chunked prefill, shortest remaining prompt first.
-	PolicySarathiSRPF Policy = "sarathi-srpf"
+	PolicySarathiSRPF Policy = cluster.PolicySarathiSRPF
 	// PolicyMedha is Medha's TBT-pinned adaptive chunking under FCFS.
-	PolicyMedha Policy = "medha"
+	PolicyMedha Policy = cluster.PolicyMedha
 	// PolicyVLLM is vanilla vLLM: whole prompts in prefill-only
 	// iterations, served first-come-first-served ahead of decodes.
-	PolicyVLLM Policy = "vllm"
+	PolicyVLLM Policy = cluster.PolicyVLLM
 )
 
 // QoServeTuning exposes the QoServe scheduler's knobs; the zero value means

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"qoserve/internal/cluster"
-	"qoserve/internal/core"
 	"qoserve/internal/fault"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
+	"qoserve/internal/predictor"
 	"qoserve/internal/predictor/forests"
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
@@ -89,38 +89,22 @@ func secondsToDuration(s float64) time.Duration {
 // factoryFor builds the scheduler factory for the options. The predictive
 // policies load the hardware preset's shipped forest.
 func factoryFor(o Options, mc model.Config) (cluster.SchedulerFactory, error) {
-	chunk := o.Chunk
-	if chunk == 0 {
-		chunk = sched.DefaultChunk
+	policy := string(o.Policy)
+	if policy == "" {
+		policy = cluster.PolicyQoServe
 	}
-	switch o.Policy {
-	case PolicyQoServe, "":
-		pred, err := forests.Load(mc)
-		if err != nil {
+	var forest *predictor.Forest
+	if cluster.NeedsForest(policy) {
+		var err error
+		if forest, err = forests.Load(mc); err != nil {
 			return nil, err
 		}
-		opts := o.QoServe.options()
-		return func() sched.Scheduler { return core.New(pred, opts) }, nil
-	case PolicySarathiFCFS:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, chunk) }, nil
-	case PolicySarathiEDF:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.EDF, chunk) }, nil
-	case PolicySarathiSJF:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.SJF, chunk) }, nil
-	case PolicySarathiSRPF:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, chunk) }, nil
-	case PolicyMedha:
-		pred, err := forests.Load(mc)
-		if err != nil {
-			return nil, err
-		}
-		tbt := 50 * sim.Millisecond
-		return func() sched.Scheduler { return sched.NewMedha(pred, tbt, 4096) }, nil
-	case PolicyVLLM:
-		return func() sched.Scheduler { return sched.NewVLLM(0) }, nil
-	default:
-		return nil, fmt.Errorf("qoserve: unknown policy %q", o.Policy)
 	}
+	factory, err := cluster.PolicyFactory(policy, forest, o.Chunk, o.QoServe.options())
+	if err != nil {
+		return nil, fmt.Errorf("qoserve: %w", err)
+	}
+	return factory, nil
 }
 
 // Serve simulates the configured deployment serving the requests and
@@ -172,7 +156,7 @@ func Serve(o Options, reqs []Request) (*Report, error) {
 		return trace[i].ID < trace[j].ID
 	})
 
-	horizon := horizonFor(trace)
+	horizon := cluster.Horizon(trace)
 	if o.Horizon > 0 {
 		horizon = sim.FromDuration(o.Horizon)
 	}
@@ -269,25 +253,6 @@ func (p FaultPlan) schedule(replicas int, horizon sim.Time) (fault.Schedule, err
 		MTBF:     sim.FromDuration(p.MTBF),
 		MTTR:     sim.FromDuration(p.MTTR),
 	})
-}
-
-// horizonFor judges every request definitively: last arrival plus the
-// largest applicable SLO plus a margin.
-func horizonFor(trace []*request.Request) sim.Time {
-	var last, maxSLO sim.Time
-	for _, r := range trace {
-		if r.Arrival > last {
-			last = r.Arrival
-		}
-		slo := r.Class.SLO.TTLT
-		if r.Class.Kind == qos.Interactive {
-			slo = r.Class.SLO.TTFT
-		}
-		if slo > maxSLO {
-			maxSLO = slo
-		}
-	}
-	return last + maxSLO + sim.Minute
 }
 
 func strictestInteractive(classes map[string]qos.Class) string {

@@ -2,10 +2,12 @@ package qoserve
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"time"
 
 	"qoserve/internal/qos"
+	"qoserve/internal/request"
 	"qoserve/internal/sim"
 	"qoserve/internal/workload"
 )
@@ -164,6 +166,38 @@ func GenerateWorkload(spec WorkloadSpec) ([]Request, error) {
 		return nil, err
 	}
 
+	return fromInternal(trace), nil
+}
+
+// WriteTrace writes requests as JSON lines, one per request, recording each
+// request's class with its SLOs. Classes are resolved by name against
+// classes (default DefaultClasses()). ReadTrace reads the file back.
+func WriteTrace(w io.Writer, reqs []Request, classes []Class) error {
+	_, classMap, err := Options{Classes: classes}.classes()
+	if err != nil {
+		return err
+	}
+	trace := make([]*request.Request, len(reqs))
+	for i, r := range reqs {
+		if trace[i], err = r.toInternal(r.ID, classMap); err != nil {
+			return err
+		}
+	}
+	return workload.WriteTrace(w, trace)
+}
+
+// ReadTrace parses a JSON-lines trace written by WriteTrace. Requests keep
+// their class names only: Serve resolves them against Options.Classes.
+func ReadTrace(r io.Reader) ([]Request, error) {
+	trace, err := workload.ReadTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	return fromInternal(trace), nil
+}
+
+// fromInternal converts an internal trace to public requests.
+func fromInternal(trace []*request.Request) []Request {
 	out := make([]Request, len(trace))
 	for i, r := range trace {
 		prio := High
@@ -180,5 +214,5 @@ func GenerateWorkload(spec WorkloadSpec) ([]Request, error) {
 			DecodeTokens: r.DecodeTokens,
 		}
 	}
-	return out, nil
+	return out
 }
