@@ -57,15 +57,7 @@ func probeGen(serve Options, spec WorkloadSpec, dur time.Duration, seed int64) (
 		if err != nil {
 			return nil, err
 		}
-		trace := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			ir, err := r.toInternal(r.ID, classMap)
-			if err != nil {
-				return nil, err
-			}
-			trace[i] = ir
-		}
-		return trace, nil
+		return toInternalTrace(reqs, classMap)
 	}, nil
 }
 

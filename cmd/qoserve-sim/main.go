@@ -55,14 +55,13 @@ func run(args []string, stdout io.Writer) error {
 		seed        = fs.Int64("seed", 1, "workload seed")
 		policyName  = fs.String("policy", "qoserve", strings.Join(cluster.Policies, " | "))
 		hardware    = fs.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
-		replicas    = fs.Int("replicas", 1, "shared-cluster replica count; with -capacity replicas, the search bound (32 when unset)")
+		replicas    = fs.Int("replicas", 1, "shared-cluster replica count; with -capacity replicas, the search's upper bound (32 when unset)")
 		chunk       = fs.Int("chunk", 0, "fixed chunk for Sarathi policies (default 256)")
 		alpha       = fs.Duration("alpha", 0, "QoServe hybrid alpha per token (0 = paper default, adaptive)")
 		tracePath   = fs.String("trace", "", "serve a JSON-lines trace file instead of synthesizing")
 		outPath     = fs.String("out", "", "write per-request outcomes as CSV to this path")
 		writeTrace  = fs.String("write-trace", "", "write the synthesized trace as JSON lines to this path ('-' = stdout) and exit")
-		capacity    = fs.String("capacity", "", "search capacity instead of serving: goodput (max QPS per replica) | replicas (min replicas for -qps)")
-		maxViol     = fs.Float64("max-violations", 0.01, "admissible violation fraction of -capacity")
+		capacity    = fs.String("capacity", "", "search capacity within 1% violations instead of serving: goodput (max QPS per replica) | replicas (min replicas for -qps)")
 
 		failSpec    = fs.String("fail", "", `explicit fault schedule, e.g. "crash@30s:1,restart@1m30s:1,slow@10s:2x3"`)
 		failMTBF    = fs.Duration("fail-mtbf", 0, "mean time between replica failures for a seeded random schedule (0 = no random faults)")
@@ -92,11 +91,16 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-capacity %q: want goodput or replicas", *capacity)
 		}
 	}
+	// Goodput is per replica, so its probes always run one and -replicas
+	// does not combine with it either.
+	replicasSet := false
 	var conflict error
 	fs.Visit(func(f *flag.Flag) {
+		replicasSet = replicasSet || f.Name == "replicas"
 		servedOnly := f.Name == "trace" || f.Name == "out" || strings.HasPrefix(f.Name, "fail")
 		steadyOnly := mode == "-capacity" && strings.HasPrefix(f.Name, "burst")
-		if mode != "" && conflict == nil && (servedOnly || steadyOnly) {
+		perReplica := *capacity == "goodput" && f.Name == "replicas"
+		if mode != "" && conflict == nil && (servedOnly || steadyOnly || perReplica) {
 			conflict = fmt.Errorf("%s does not combine with -%s", mode, f.Name)
 		}
 	})
@@ -157,9 +161,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *capacity != "" {
-		copts := qoserve.CapacityOptions{MaxViolations: *maxViol, ProbeDuration: *duration, Seed: *seed}
-		prefix := fmt.Sprintf("policy=%s hardware=%s dataset=%s max_violations=%.2f%%",
-			*policyName, hw, ds, 100**maxViol)
+		copts := qoserve.CapacityOptions{ProbeDuration: *duration, Seed: *seed}
+		prefix := fmt.Sprintf("policy=%s hardware=%s dataset=%s", *policyName, hw, ds)
 		if *capacity == "goodput" {
 			rate, err := qoserve.FindMaxGoodput(opts, spec, copts)
 			if err != nil {
@@ -168,12 +171,10 @@ func run(args []string, stdout io.Writer) error {
 			_, err = fmt.Fprintf(stdout, "%s goodput=%.2f req/s/replica\n", prefix, rate)
 			return err
 		}
-		bound := 0 // FindMinReplicas's default bound
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "replicas" {
-				bound = *replicas
-			}
-		})
+		bound := 0 // FindMinReplicas's default bound, 32
+		if replicasSet {
+			bound = *replicas
+		}
 		n, err := qoserve.FindMinReplicas(opts, spec, bound, copts)
 		if err != nil {
 			return err
@@ -240,13 +241,13 @@ func run(args []string, stdout io.Writer) error {
 // writeTraceFile writes reqs as a JSON-lines trace to path ('-' = stdout).
 func writeTraceFile(path string, stdout io.Writer, reqs []qoserve.Request) error {
 	if path == "-" {
-		return qoserve.WriteTrace(stdout, reqs, nil)
+		return qoserve.WriteTrace(stdout, reqs)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := qoserve.WriteTrace(f, reqs, nil); err != nil {
+	if err := qoserve.WriteTrace(f, reqs); err != nil {
 		f.Close()
 		return err
 	}

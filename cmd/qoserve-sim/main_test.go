@@ -84,7 +84,7 @@ func TestWriteTraceOverCap(t *testing.T) {
 func TestCapacityPrintsSearch(t *testing.T) {
 	opts := qoserve.Options{Policy: qoserve.PolicySarathiEDF}
 	spec := qoserve.WorkloadSpec{Dataset: qoserve.DatasetAzureCode, QPS: 8}
-	copts := qoserve.CapacityOptions{MaxViolations: 0.01, ProbeDuration: time.Minute, Seed: 1}
+	copts := qoserve.CapacityOptions{ProbeDuration: time.Minute, Seed: 1}
 	args := []string{"-policy", "sarathi-edf", "-duration", "1m", "-qps", "8"}
 
 	rate, err := qoserve.FindMaxGoodput(opts, spec, copts)
@@ -120,6 +120,7 @@ func TestModeConflicts(t *testing.T) {
 		{"-capacity", "replicas", "-fail", "crash@1s:0"},
 		{"-capacity", "goodput", "-burst-qps", "5"},
 		{"-capacity", "goodput", "-write-trace", "t.jsonl"},
+		{"-capacity", "goodput", "-replicas", "4"},
 		{"-capacity", "bogus"},
 		{"-write-trace", "t.jsonl", "-trace", "u.jsonl"},
 		{"-write-trace", "t.jsonl", "-out", "o.csv"},

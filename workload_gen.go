@@ -170,18 +170,16 @@ func GenerateWorkload(spec WorkloadSpec) ([]Request, error) {
 }
 
 // WriteTrace writes requests as JSON lines, one per request, recording each
-// request's class with its SLOs. Classes are resolved by name against
-// classes (default DefaultClasses()). ReadTrace reads the file back.
-func WriteTrace(w io.Writer, reqs []Request, classes []Class) error {
-	_, classMap, err := Options{Classes: classes}.classes()
+// request's class, resolved by name against DefaultClasses(), with its SLOs.
+// ReadTrace reads the file back.
+func WriteTrace(w io.Writer, reqs []Request) error {
+	_, classMap, err := Options{}.classes()
 	if err != nil {
 		return err
 	}
-	trace := make([]*request.Request, len(reqs))
-	for i, r := range reqs {
-		if trace[i], err = r.toInternal(r.ID, classMap); err != nil {
-			return err
-		}
+	trace, err := toInternalTrace(reqs, classMap)
+	if err != nil {
+		return err
 	}
 	return workload.WriteTrace(w, trace)
 }
@@ -194,6 +192,20 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 		return nil, err
 	}
 	return fromInternal(trace), nil
+}
+
+// toInternalTrace converts public requests that carry their own IDs,
+// resolving each class against classes.
+func toInternalTrace(reqs []Request, classes map[string]qos.Class) ([]*request.Request, error) {
+	trace := make([]*request.Request, len(reqs))
+	for i, r := range reqs {
+		ir, err := r.toInternal(r.ID, classes)
+		if err != nil {
+			return nil, err
+		}
+		trace[i] = ir
+	}
+	return trace, nil
 }
 
 // fromInternal converts an internal trace to public requests.
