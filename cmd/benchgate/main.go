@@ -1,20 +1,24 @@
-// Command benchgate diffs a freshly measured benchmark snapshot against a
-// committed baseline (both in the cmd/benchjson JSON format) and exits
-// non-zero when any shared metric regresses past its tolerance. It is the
-// CI regression gate for the gateway token path: `make bench-gate` runs a
-// short fresh pass of the PR 10 benchmarks and feeds both files here.
+// Command benchgate diffs a freshly measured `go test -bench` log against
+// a committed baseline log and exits non-zero when any shared metric
+// regresses past its tolerance. It is the CI regression gate for the
+// gateway token path: `make bench-gate` runs a short fresh pass of
+// BenchmarkGatewayFrameReplicas8 and feeds both logs here.
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_PR10.json -current /tmp/fresh.json
+//	benchgate -baseline BENCH_GATE.txt -current /tmp/fresh.txt
 //	benchgate -baseline ... -current ... -tol 0.6 -tol-allocs 0.3
+//
+// Both files are plain benchmark logs (non-benchmark lines are ignored),
+// so refreshing the baseline is one `go test -bench ... > BENCH_GATE.txt`.
 //
 // Comparison rules:
 //
-//   - The two files must have been measured at the same GOMAXPROCS (the
-//     gateway benchmarks scale their submitter count with it); otherwise
-//     the gate fails without comparing anything.
-//   - Only benchmarks present in BOTH files are compared; extra entries on
+//   - The two logs must have been measured at the same GOMAXPROCS (read
+//     off the -N benchmark-name suffix; the gateway benchmarks scale their
+//     submitter count with it); otherwise the gate fails without comparing
+//     anything.
+//   - Only benchmarks present in BOTH logs are compared; extra entries on
 //     either side are ignored (so a short CI pass may run a subset).
 //   - Throughput metrics ("req/s", "tok/s") are higher-better: current
 //     must be >= baseline * (1 - tol).
@@ -23,8 +27,8 @@
 //   - allocs/op is lower-better with its own, tighter -tol-allocs bound:
 //     allocation counts are deterministic on the hot path, so they get far
 //     less slack than wall-clock numbers on noisy CI machines.
-//   - Other extra metrics (counters like prefix_transfer_tokens) are
-//     informational and never gate.
+//   - Other extra metrics (counters like prefix_transfer_tokens) and B/op
+//     are informational and never gate.
 //
 // Timing tolerances default loose (-tol 0.6) because CI machines are
 // shared and single-core; the gate exists to catch structural regressions
@@ -36,13 +40,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
-
-	"qoserve/internal/benchfmt"
+	"strings"
 )
 
 func main() {
-	baselinePath := flag.String("baseline", "", "committed baseline JSON (required)")
-	currentPath := flag.String("current", "", "freshly measured JSON (required)")
+	baselinePath := flag.String("baseline", "", "committed baseline benchmark log (required)")
+	currentPath := flag.String("current", "", "freshly measured benchmark log (required)")
 	tol := flag.Float64("tol", 0.6, "relative tolerance for timing/throughput metrics")
 	tolAllocs := flag.Float64("tol-allocs", 0.3, "relative tolerance for allocs/op")
 	flag.Parse()
@@ -51,11 +54,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := benchfmt.Load(*baselinePath)
+	base, err := load(*baselinePath)
 	if err != nil {
 		fatal(err)
 	}
-	cur, err := benchfmt.Load(*currentPath)
+	cur, err := load(*currentPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -88,20 +91,20 @@ func gatedExtra(unit string) bool {
 	return higherBetter[unit] || len(unit) > 3 && unit[len(unit)-3:] == "_ms"
 }
 
-// compare diffs every benchmark present in both documents. It returns one
-// human-readable row per compared benchmark and one failure line per
-// metric outside tolerance.
-func compare(base, cur benchfmt.Baseline, tol, tolAllocs float64) (rows, failures []string) {
+// compare diffs every benchmark present in both runs. It returns one
+// human-readable row per compared benchmark (one indented line per metric)
+// and one failure line per metric outside tolerance.
+func compare(base, cur Run, tol, tolAllocs float64) (rows, failures []string) {
 	if base.GoMaxProcs != cur.GoMaxProcs {
 		return nil, []string{fmt.Sprintf("gomaxprocs differs: baseline %d, current %d (rerun with -cpu %d)",
 			base.GoMaxProcs, cur.GoMaxProcs, base.GoMaxProcs)}
 	}
-	curByName := make(map[string]benchfmt.Result, len(cur.Benchmarks))
+	curByName := make(map[string]Result, len(cur.Benchmarks))
 	for _, r := range cur.Benchmarks {
 		curByName[r.Name] = r
 	}
 	names := make([]string, 0, len(base.Benchmarks))
-	byName := make(map[string]benchfmt.Result, len(base.Benchmarks))
+	byName := make(map[string]Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		if _, ok := curByName[r.Name]; ok {
 			names = append(names, r.Name)
@@ -112,12 +115,12 @@ func compare(base, cur benchfmt.Baseline, tol, tolAllocs float64) (rows, failure
 
 	for _, name := range names {
 		b, c := byName[name], curByName[name]
-		rows = append(rows, fmt.Sprintf("%s: ns/op %.0f -> %.0f", name, b.NsPerOp, c.NsPerOp))
+		row := []string{name + ":", fmt.Sprintf("  ns/op %.0f -> %.0f", b.NsPerOp, c.NsPerOp)}
 		if bad, msg := lowerBetter(name, "ns/op", b.NsPerOp, c.NsPerOp, tol); bad {
 			failures = append(failures, msg)
 		}
 		if b.AllocsPerOp != nil && c.AllocsPerOp != nil {
-			rows = append(rows, fmt.Sprintf("%s: allocs/op %d -> %d", name, *b.AllocsPerOp, *c.AllocsPerOp))
+			row = append(row, fmt.Sprintf("  allocs/op %d -> %d", *b.AllocsPerOp, *c.AllocsPerOp))
 			if bad, msg := lowerBetter(name, "allocs/op",
 				float64(*b.AllocsPerOp), float64(*c.AllocsPerOp), tolAllocs); bad {
 				failures = append(failures, msg)
@@ -132,7 +135,7 @@ func compare(base, cur benchfmt.Baseline, tol, tolAllocs float64) (rows, failure
 		sort.Strings(units)
 		for _, unit := range units {
 			bv, cv := b.Extra[unit], c.Extra[unit]
-			rows = append(rows, fmt.Sprintf("%s: %s %.2f -> %.2f", name, unit, bv, cv))
+			row = append(row, fmt.Sprintf("  %s %.2f -> %.2f", unit, bv, cv))
 			if higherBetter[unit] {
 				if cv < bv*(1-tol) {
 					failures = append(failures, fmt.Sprintf(
@@ -142,6 +145,7 @@ func compare(base, cur benchfmt.Baseline, tol, tolAllocs float64) (rows, failure
 				failures = append(failures, msg)
 			}
 		}
+		rows = append(rows, strings.Join(row, "\n"))
 	}
 	return rows, failures
 }

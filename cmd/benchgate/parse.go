@@ -1,12 +1,7 @@
-// Package benchfmt parses `go test -bench` output and defines the JSON
-// baseline document committed as BENCH_PR*.json. It is shared by
-// cmd/benchjson (which writes baselines) and cmd/benchgate (which diffs a
-// fresh run against a committed baseline to catch performance regressions).
-package benchfmt
+package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -17,42 +12,49 @@ import (
 // Result is one parsed benchmark line.
 type Result struct {
 	// Name has the -N GOMAXPROCS suffix stripped; Procs holds it.
-	Name        string  `json:"name"`
-	Procs       int     `json:"-"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+	Name    string
+	Procs   int
+	NsPerOp float64
+	// AllocsPerOp is nil when the log was written without -benchmem.
+	AllocsPerOp *int64
 	// Extra holds custom b.ReportMetric units (e.g. "req/s").
-	Extra map[string]float64 `json:"extra,omitempty"`
+	Extra map[string]float64
 }
 
-// Baseline is the emitted document.
-type Baseline struct {
-	GoVersion string `json:"go_version"`
-	GoOS      string `json:"goos"`
-	GoArch    string `json:"goarch"`
-	// GoMaxProcs is the GOMAXPROCS the benchmarks ran at.
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Meta       map[string]string `json:"meta,omitempty"`
-	Benchmarks []Result          `json:"benchmarks"`
+// Run is one benchmark log, measured at a single GOMAXPROCS.
+type Run struct {
+	GoMaxProcs int
+	Benchmarks []Result
 }
 
-// Load reads a baseline document from a JSON file written by cmd/benchjson.
-func Load(path string) (Baseline, error) {
-	var doc Baseline
-	buf, err := os.ReadFile(path)
+// load reads a `go test -bench` log. Every benchmark in it must have run
+// at the same GOMAXPROCS, because the gate refuses to compare runs at
+// different CPU counts.
+func load(path string) (Run, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return doc, err
+		return Run{}, err
 	}
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return doc, fmt.Errorf("%s: %w", path, err)
+	defer f.Close()
+	results, err := Parse(f)
+	if err != nil {
+		return Run{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return doc, nil
+	if len(results) == 0 {
+		return Run{}, fmt.Errorf("%s: no benchmark lines", path)
+	}
+	run := Run{GoMaxProcs: results[0].Procs, Benchmarks: results}
+	for _, r := range results {
+		if r.Procs != run.GoMaxProcs {
+			return Run{}, fmt.Errorf("%s: benchmarks ran at GOMAXPROCS %d and %d; gate one CPU count per log",
+				path, run.GoMaxProcs, r.Procs)
+		}
+	}
+	return run, nil
 }
 
 // Parse extracts benchmark result lines from a Go benchmark log.
-// Non-benchmark lines are ignored.
+// Non-benchmark lines (goos:, pkg:, PASS, ok ...) are ignored.
 func Parse(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -67,12 +69,11 @@ func Parse(r io.Reader) ([]Result, error) {
 		if len(fields) < 4 {
 			continue
 		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue
 		}
 		name, procs := SplitProcs(fields[0])
-		res := Result{Name: name, Procs: procs, Iterations: iters}
+		res := Result{Name: name, Procs: procs}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -84,8 +85,7 @@ func Parse(r io.Reader) ([]Result, error) {
 				res.NsPerOp = v
 				ok = true
 			case "B/op":
-				b := int64(v)
-				res.BytesPerOp = &b
+				// Not gated: bytes follow allocation count.
 			case "allocs/op":
 				a := int64(v)
 				res.AllocsPerOp = &a

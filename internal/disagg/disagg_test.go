@@ -95,23 +95,32 @@ func TestLargeChunkBeatsSmallChunkOnPrefillNodes(t *testing.T) {
 
 func TestMaxGoodputDisagg(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
+	// Prompts several times testDS's, over enough requests that the
+	// prefill tier saturates well below the search ceiling: a capacity at
+	// MaxQPS would mean the climb never failed a probe and nothing was
+	// bracketed.
+	heavy := workload.Dataset{Name: "prefill-heavy",
+		Prompt: workload.TokenDist{P50: 2048, P90: 6144},
+		Decode: testDS.Decode,
+	}
 	genQPS := func(qps float64) ([]*request.Request, error) {
 		return workload.Generate(workload.Spec{
-			Dataset:  testDS,
+			Dataset:  heavy,
 			Tiers:    workload.EqualTiers(qos.Table3()),
 			Arrivals: workload.Poisson{QPS: qps},
-			Requests: 120,
+			Requests: 400,
 			Seed:     23,
 		})
 	}
+	opts := cluster.SearchOptions{Tolerance: 0.5, MaxQPS: 64}
 	qps, sum, err := MaxGoodput(mc, func() sched.Scheduler {
 		return sched.NewSarathi(sched.EDF, DefaultChunk)
-	}, genQPS, cluster.SearchOptions{Tolerance: 0.5})
+	}, genQPS, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qps <= 0 {
-		t.Fatalf("capacity = %v", qps)
+	if qps <= 0 || qps >= opts.MaxQPS {
+		t.Fatalf("capacity = %v, want inside (0, %v)", qps, opts.MaxQPS)
 	}
 	if sum.ViolationRate(metrics.All) > 0.01 {
 		t.Fatalf("capacity run violates: %v", sum.ViolationRate(metrics.All))

@@ -108,51 +108,15 @@ func BenchmarkTokenFanout(b *testing.B) {
 	}
 }
 
-// benchGatewayContended is the headline gateway benchmark: many parallel
-// submitters drive closed-loop prefill-heavy requests end to end (submit,
-// stream, drain) against N serving replicas. The cost model makes each
-// iteration sleep its (timescale-compressed) execution time, exactly like
-// replicas of a model server, so req/s measures how much concurrent
-// "GPU time" the gateway can keep in flight — the replicas=1 result is the
-// old single-lock architecture's ceiling.
-func benchGatewayContended(b *testing.B, replicas int) {
-	srv, err := New(Config{
-		Model:            model.Llama3_8B_A100_TP1(),
-		SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
-		Replicas:         replicas,
-		Classes:          qos.Table3(),
-		Timescale:        200,
-		StreamBuffer:     8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	b.SetParallelism(32) // 32 concurrent submitters per GOMAXPROCS
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			stream, err := srv.Submit(Submission{Class: "Q2", PromptTokens: 512, DecodeTokens: 2})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			drain(stream)
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-func BenchmarkGatewayContendedReplicas1(b *testing.B) { benchGatewayContended(b, 1) }
-func BenchmarkGatewayContendedReplicas4(b *testing.B) { benchGatewayContended(b, 4) }
-func BenchmarkGatewayContendedReplicas8(b *testing.B) { benchGatewayContended(b, 8) }
-
-// benchGatewayTokenPath is the token-path benchmark BENCH_PR10.json gates:
-// the same contended closed-loop workload as benchGatewayContended, but
-// submitted through the pooled SubmitTo entry point with per-goroutine
-// Stream reuse, drained via Recv, and instrumented with allocs/op plus
-// TTFT quantiles. The request, stream entry, and frames all recycle
+// benchGatewayTokenPath is the token-path benchmark `make bench-gate`
+// diffs against BENCH_GATE.txt: many parallel submitters drive
+// closed-loop prefill-heavy requests end to end (submit, stream, drain)
+// against N serving replicas, whose iterations sleep their
+// (timescale-compressed) execution time like a model server's, so req/s
+// measures how much concurrent "GPU time" the gateway keeps in flight.
+// Requests go through the pooled SubmitTo entry point with per-goroutine
+// Stream reuse, drained via Recv, and the run reports allocs/op plus TTFT
+// quantiles. The request, stream entry, and frames all recycle
 // through free lists, so a warm run allocates nothing per request.
 func benchGatewayTokenPath(b *testing.B, replicas int) {
 	srv, err := New(Config{
