@@ -88,7 +88,7 @@ lint:
 # module, so ./... at the root does not reach it), the fixed-seed gateway
 # smoke (loadgen-smoke: every request completes, no stream event is
 # dropped silently), a short fuzzing pass, the micro-benchmark pass and
-# the token-path benchmark gate, as CI's verify job runs them.
+# the token-path benchmark gate, as CI's verify and race jobs run them.
 # The allocation guards (TestPlanBatchSteadyStateAllocFree,
 # TestForestPredictAllocFree, TestTrainAllocCeiling, TestLoadAllocCeiling)
 # and the KV-transfer session test (TestSessionKVTransfer) run as

@@ -116,7 +116,7 @@ func (d *decodeNode) iterate(now sim.Time) {
 		return
 	}
 	d.busy = true
-	exec, debt := d.core.Price(d.batch)
+	exec, debt, _ := d.core.Price(d.batch, now)
 	d.engine.At(now+exec+debt, d)
 }
 

@@ -336,11 +336,16 @@ func newShardView(capacity int, nodes map[uint64]*prefixBlock) *shardView {
 	return v
 }
 
+// shardSlack is the spare capacity a shard copy gets: an admission's new
+// blocks often land two or more in one shard, and each insert past the
+// copy's capacity would reallocate it.
+const shardSlack = 4
+
 // edit returns shard s for writing, copying it first if the last export
-// shares it. The copy has room for one insert.
+// shares it. The copy has room for shardSlack inserts.
 func (v *shardView) edit(s uint64) []uint64 {
 	if !v.owned[s] {
-		sh := make([]uint64, len(v.shards[s]), len(v.shards[s])+1)
+		sh := make([]uint64, len(v.shards[s]), len(v.shards[s])+shardSlack)
 		copy(sh, v.shards[s])
 		v.shards[s], v.owned[s] = sh, true
 	}

@@ -460,8 +460,10 @@ func (m *Manager) promote(b *prefixBlock) bool {
 
 // Release frees all private blocks held by request id and unpins its prefix
 // blocks. Unpinned prefix blocks stay cached (that is the cache) until
-// pressure demotes or evicts them. Releasing an unknown id is a no-op so
-// that callers can release unconditionally on request completion.
+// pressure demotes or evicts them. They join the LRU tail-first, as vLLM
+// frees a request's blocks, so pressure takes a chain from its end and
+// what survives is still a matchable head. Releasing an unknown id is a
+// no-op so that callers can release unconditionally on request completion.
 //
 //qoserve:hotpath
 func (m *Manager) Release(id uint64) {
@@ -470,7 +472,8 @@ func (m *Manager) Release(id uint64) {
 		delete(m.held, id)
 	}
 	if pins, ok := m.pins[id]; ok {
-		for _, b := range pins {
+		for i := len(pins) - 1; i >= 0; i-- {
+			b := pins[i]
 			b.refs--
 			if b.refs == 0 {
 				m.hbmLRU.pushBack(b)

@@ -80,9 +80,9 @@ func TestTierDemotionAndReload(t *testing.T) {
 	m.AcquirePrefix(1, chain)
 	m.Release(1)
 
-	// A private allocation reclaims 3 cached blocks; the two coldest
-	// (chain[0], chain[1]) demote to DRAM, the third overflows DRAM and
-	// evicts chain[0].
+	// Release queued the chain tail-first, so a private allocation that
+	// reclaims 3 cached blocks demotes chain[3] and chain[2] to DRAM, and
+	// the third, chain[1], overflows DRAM and evicts chain[3].
 	if !m.Grow(2, 48) {
 		t.Fatal("grow over cache failed")
 	}
@@ -93,17 +93,16 @@ func TestTierDemotionAndReload(t *testing.T) {
 	if _, dram := m.TierEvictions(); dram != 1 {
 		t.Errorf("dram evictions = %d, want 1", dram)
 	}
-	hit, reload := m.Match(chain)
-	if hit != 0 { // chain[0] is gone, so the walk misses immediately
-		t.Errorf("match after eviction = %d tokens", hit)
+	// The head survives: chain[0] in HBM, chain[1] and chain[2] in DRAM.
+	if hit, reload := m.Match(chain); hit != 48 || reload != 32 {
+		t.Errorf("match after eviction = (%d, %d) tokens, want (48, 32)", hit, reload)
 	}
-	_ = reload
 
-	// The survivor blocks are only reachable behind the evicted head, so
-	// re-acquiring rebuilds from scratch once room frees up.
+	// Re-acquiring once room frees up reloads the demoted head blocks and
+	// recomputes only the evicted tail.
 	m.Release(2)
 	res := m.AcquirePrefix(3, chain)
-	if res.HitTokens != 0 || res.CachedTokens != 64 {
+	if res.HitTokens != 48 || res.ReloadTokens != 32 || res.CachedTokens != 64 {
 		t.Fatalf("re-acquire: %+v", res)
 	}
 	m.Release(3)

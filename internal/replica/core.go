@@ -19,7 +19,8 @@ import (
 //
 //	Admit / AdmitHandoff  each arrival, before planning
 //	Plan                  ask the scheduler for a batch
-//	Price                 cost-model time of the batch, plus accrued debt
+//	Price                 cost-model time of the batch, plus reload debt and
+//	                      the part of any KV import still in flight
 //	Complete              token accounting and delivery, then OnBatchComplete
 //	Release               free finished requests' KV, republish the index
 //
@@ -33,10 +34,16 @@ type Core struct {
 	kv       *kvcache.Manager
 	capacity int // HBM-tier tokens; fixed for the core's lifetime
 
-	// debt is DRAM->HBM reload and cross-replica KV import time owed by
-	// admissions since the last priced batch. It serializes with that
-	// batch's execution — the conservative, non-overlapped model.
+	// debt is DRAM->HBM reload time owed by admissions since the last
+	// priced batch. It serializes with that batch's execution: a reload is
+	// discovered at admission, so nothing earlier overlaps it.
 	debt sim.Time
+	// linkFree is when the inbound interconnect finishes the cross-replica
+	// KV imports already started. Imports serialize on it, each starting
+	// when it was planned or when the link frees, whichever is later, and
+	// run while the request queues and the current batch executes; the
+	// next batch stalls only for the part still in flight.
+	linkFree sim.Time
 
 	index     *kvcache.GlobalIndex // nil: publish nowhere
 	slot      int
@@ -106,14 +113,19 @@ type Admission struct {
 	Imported int
 	// Reloaded is the part of the local hit promoted from the DRAM tier.
 	Reloaded int
+	// ImportTime is the interconnect time of Imported.
+	ImportTime sim.Time
 }
 
 // Admit takes r into the core at now. A request that has not started
 // prefill pins its cached prefix and is credited with it. When a live peer
 // holds peer tokens of the prefix, more than the local hit, the missing
-// blocks are imported instead of recomputed. Reload and import time accrue
-// as debt for the next priced batch. Then r joins the scheduler.
-func (c *Core) Admit(r *request.Request, now sim.Time, peer int) Admission {
+// blocks are imported instead of recomputed: the import was planned at
+// start (at most now), and it occupies the inbound link from start or
+// from the end of the imports before it, whichever is later. The model
+// assumes the destination's blocks were free from start on. Reload time
+// accrues as debt for the next priced batch. Then r joins the scheduler.
+func (c *Core) Admit(r *request.Request, now sim.Time, peer int, start sim.Time) Admission {
 	var a Admission
 	if len(r.PrefixHashes) > 0 && r.PrefilledTokens == r.PrefixHitTokens {
 		res := c.kv.AcquirePrefix(r.ID, r.PrefixHashes)
@@ -121,7 +133,8 @@ func (c *Core) Admit(r *request.Request, now sim.Time, peer int) Admission {
 		if peer > a.Hit && c.importBandwidth > 0 {
 			a.Imported = peer - a.Hit
 			a.Hit = peer
-			c.debt += sim.FromSeconds(c.ImportSeconds(a.Imported))
+			a.ImportTime = sim.FromSeconds(c.ImportSeconds(a.Imported))
+			c.linkFree = max(start, c.linkFree) + a.ImportTime
 		}
 		r.ApplyPrefixHit(a.Hit)
 		if a.Reloaded > 0 {
@@ -148,16 +161,19 @@ func (c *Core) AdmitHandoff(r *request.Request, now sim.Time, d Delivery) {
 // Plan asks the scheduler for the next batch.
 func (c *Core) Plan(now sim.Time) sched.Batch { return c.sch.PlanBatch(now) }
 
-// Price returns the batch's cost-model execution time and, separately, the
-// reload and import debt it must also pay, which it clears.
-func (c *Core) Price(b sched.Batch) (exec, debt sim.Time) {
+// Price returns the cost-model execution time of a batch starting at now
+// and, separately, the debt it must also pay: the reload time accrued
+// since the last priced batch, which it clears, plus stall, the part of
+// the imports admitted so far still in flight at now.
+func (c *Core) Price(b sched.Batch, now sim.Time) (exec, debt, stall sim.Time) {
 	b.ShapeInto(&c.shape)
 	exec = c.cfg.BatchTime(c.shape)
 	if exec <= 0 {
 		panic(fmt.Sprintf("replica: non-positive batch time %v for %v", exec, b))
 	}
-	debt, c.debt = c.debt, 0
-	return exec, debt
+	stall = max(c.linkFree-now, 0)
+	debt, c.debt = c.debt+stall, 0
+	return exec, debt, stall
 }
 
 // Delivery receives the tokens a core produces.
@@ -223,12 +239,12 @@ func (c *Core) Publish() {
 	}
 }
 
-// restart swaps in a fresh scheduler and KV cache after a crash. Debt and
-// queued releases died with the old cache; the next Publish exports the
-// new, empty membership regardless of its version.
+// restart swaps in a fresh scheduler and KV cache after a crash. Debt,
+// imports in flight and queued releases died with the old cache; the next
+// Publish exports the new, empty membership regardless of its version.
 func (c *Core) restart(sch sched.Scheduler, kv *kvcache.Manager) {
 	c.sch, c.kv = sch, kv
-	c.debt = 0
+	c.debt, c.linkFree = 0, 0
 	c.finished = c.finished[:0]
 	c.published = ^uint64(0)
 }

@@ -55,18 +55,18 @@ type discard struct{}
 
 func (discard) Token(*request.Request, sim.Time, bool) {}
 
-// serve admits r into c at *now and runs the core's loop until it idles,
-// advancing *now by each batch's price. It returns the debt the batches
-// paid on top of execution.
-func serve(c *Core, r *request.Request, now *sim.Time, peer int) (Admission, sim.Time) {
-	a := c.Admit(r, *now, peer)
+// serve admits r into c at *now, with any import planned at start, and
+// runs the core's loop until it idles, advancing *now by each batch's
+// price. It returns the debt the batches paid on top of execution.
+func serve(c *Core, r *request.Request, now *sim.Time, peer int, start sim.Time) (Admission, sim.Time) {
+	a := c.Admit(r, *now, peer, start)
 	var paid sim.Time
 	for {
 		b := c.Plan(*now)
 		if b.Empty() {
 			return a, paid
 		}
-		exec, debt := c.Price(b)
+		exec, debt, _ := c.Price(b, *now)
 		paid += debt
 		*now += exec + debt
 		c.Complete(b, *now, discard{})
@@ -103,7 +103,7 @@ func TestConfigureKVAndReload(t *testing.T) {
 	var last Admission
 	var paid sim.Time
 	for _, r := range reqs {
-		last, paid = serve(c, r, &now, 0)
+		last, paid = serve(c, r, &now, 0, now)
 		if r.Phase() != request.Done {
 			t.Fatalf("request %d stuck in %v", r.ID, r.Phase())
 		}
@@ -123,8 +123,9 @@ func TestConfigureKVAndReload(t *testing.T) {
 }
 
 // Publish exports membership into a global index only when it changed,
-// KV imported from a peer serializes into the next batch exactly like a
-// DRAM reload, and a restart force-republishes the empty cache.
+// KV imported from a peer stalls the next batch for the part of the
+// transfer its planning did not cover, and a restart force-republishes
+// the empty cache.
 func TestPublishIndexAndTransferDebt(t *testing.T) {
 	mc := model.Llama3_8B_A100_TP1()
 	kv, err := kvcache.NewManager(mc.KVCapacityTokens(), 16)
@@ -142,7 +143,7 @@ func TestPublishIndexAndTransferDebt(t *testing.T) {
 	chain := kvcache.SyntheticChain(11, 0, kvcache.ChainBlocks(800, 16))
 	var now sim.Time
 	serve(c, &request.Request{ID: 1, App: "Q1", Class: qos.Table3()[0],
-		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: chain}, &now, 0)
+		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: chain}, &now, 0, now)
 	if e := idx.Epoch(0); e != 1 {
 		t.Fatalf("epoch %d after caching a chain, want 1", e)
 	}
@@ -154,15 +155,25 @@ func TestPublishIndexAndTransferDebt(t *testing.T) {
 		t.Fatalf("quiescent republish bumped epoch to %d", e)
 	}
 
-	// A peer holds 320 tokens of a prefix this core has never seen.
+	// A peer holds 320 tokens of a prefix this core has never seen. The
+	// import was planned a quarter of a transfer before admission, so the
+	// first batch waits for the other three quarters.
+	xfer := sim.FromSeconds(320 * mc.Model.KVBytesPerToken() / bandwidth)
 	other := kvcache.SyntheticChain(12, 0, kvcache.ChainBlocks(800, 16))
 	a, paid := serve(c, &request.Request{ID: 2, App: "Q1", Class: qos.Table3()[0],
-		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: other}, &now, 320)
-	if a != (Admission{Hit: 320, Imported: 320}) {
-		t.Fatalf("import admitted as %+v", a)
+		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: other}, &now, 320, now-xfer/4)
+	if a != (Admission{Hit: 320, Imported: 320, ImportTime: xfer}) || xfer == 0 {
+		t.Fatalf("import admitted as %+v, want 320 tokens over %v", a, xfer)
 	}
-	if want := sim.FromSeconds(320 * mc.Model.KVBytesPerToken() / bandwidth); paid != want || want == 0 {
-		t.Fatalf("import debt paid %v, want %v", paid, want)
+	if want := xfer - xfer/4; paid != want {
+		t.Fatalf("import stall paid %v, want %v", paid, want)
+	}
+	// Planned a whole transfer before admission, a third chain's import
+	// has landed by the first batch and stalls nothing.
+	third := kvcache.SyntheticChain(13, 0, kvcache.ChainBlocks(800, 16))
+	if _, paid := serve(c, &request.Request{ID: 3, App: "Q1", Class: qos.Table3()[0],
+		PromptTokens: 800, DecodeTokens: 4, PrefixHashes: third}, &now, 320, now-xfer); paid != 0 {
+		t.Fatalf("landed import stalled %v", paid)
 	}
 
 	// Restart force-republishes the (now empty) membership.
@@ -172,10 +183,55 @@ func TestPublishIndexAndTransferDebt(t *testing.T) {
 	}
 	c.restart(sched.NewSarathi(sched.FCFS, 256), fresh)
 	c.Publish()
-	if e := idx.Epoch(0); e != 3 {
-		t.Fatalf("epoch %d after restart republish, want 3", e)
+	if e := idx.Epoch(0); e != 4 {
+		t.Fatalf("epoch %d after restart republish, want 4", e)
 	}
 	if got := idx.MatchTokens(0, chain); got != 0 {
 		t.Fatalf("restarted core still advertises %d tokens", got)
+	}
+}
+
+// An import runs on the destination's inbound link from its planning on,
+// so the first batch after admission stalls only for the part still in
+// flight, and imports admitted in one cycle queue on the link.
+func TestImportStallIsWhatRemains(t *testing.T) {
+	mc := model.Llama3_8B_A100_TP1()
+	const bandwidth = 1e9
+	xfer := sim.FromSeconds(320 * mc.Model.KVBytesPerToken() / bandwidth)
+	now := 10 * sim.Second
+	for _, tc := range []struct {
+		name   string
+		starts []sim.Time // when each 320-token import was planned
+		stall  sim.Time
+	}{
+		{"planned at admission", []sim.Time{now}, xfer},
+		{"planned half a transfer earlier", []sim.Time{now - xfer/2}, xfer - xfer/2},
+		{"planned a transfer and more earlier", []sim.Time{now - 3*xfer}, 0},
+		{"two in one cycle serialize", []sim.Time{now - xfer/2, now - xfer/2}, 2*xfer - xfer/2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kv, err := kvcache.NewManager(mc.KVCapacityTokens(), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewCore(mc, sched.NewSarathi(sched.FCFS, 256), kv, CoreOptions{ImportBandwidth: bandwidth})
+			for i, start := range tc.starts {
+				r := &request.Request{ID: uint64(i + 1), App: "Q1", Class: qos.Table3()[0],
+					PromptTokens: 800, DecodeTokens: 4,
+					PrefixHashes: kvcache.SyntheticChain(uint64(i+1), 0, kvcache.ChainBlocks(800, 16))}
+				if a := c.Admit(r, now, 320, start); a.Imported != 320 || a.ImportTime != xfer {
+					t.Fatalf("import %d admitted as %+v, want 320 tokens over %v", i, a, xfer)
+				}
+			}
+			b := c.Plan(now)
+			exec, debt, stall := c.Price(b, now)
+			if stall != tc.stall || debt != tc.stall {
+				t.Fatalf("stall %v, debt %v; want both %v", stall, debt, tc.stall)
+			}
+			// The stall is paid once: the next batch finds the link idle.
+			if _, debt, stall := c.Price(b, now+exec+debt); debt != 0 || stall != 0 {
+				t.Fatalf("next batch owes debt %v, stall %v", debt, stall)
+			}
+		})
 	}
 }

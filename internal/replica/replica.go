@@ -126,7 +126,7 @@ func (r *Replica) Submit(req *request.Request) {
 		return
 	}
 	r.active.reqs = append(r.active.reqs, req)
-	r.prefixHit += uint64(r.core.Admit(req, now, 0).Hit)
+	r.prefixHit += uint64(r.core.Admit(req, now, 0, now).Hit)
 	if !r.busy {
 		r.startIteration(now)
 	}
@@ -243,7 +243,7 @@ func (r *Replica) startIteration(now sim.Time) {
 		return
 	}
 	r.busy = true
-	execTime, debt := r.core.Price(batch)
+	execTime, debt, _ := r.core.Price(batch, now)
 	if r.slow > 1 {
 		execTime = sim.Time(float64(execTime) * r.slow)
 	}

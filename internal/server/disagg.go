@@ -196,8 +196,8 @@ func (s *Server) enqueuePrefill(h pendingHandoff) bool {
 			}
 			continue // crashed between pick and enqueue; re-pick
 		}
-		src, tok := s.planTransfer(h.clone, i, s.prefillReps)
-		rp.inbox = append(rp.inbox, admission{req: h.clone, entry: h.entry, orig: h.orig, home: h.home, xferFrom: src, xferTokens: tok})
+		xfer := s.planTransfer(h.clone, i, s.prefillReps)
+		rp.inbox = append(rp.inbox, admission{req: h.clone, entry: h.entry, orig: h.orig, home: h.home, xfer: xfer})
 		rp.inboxMu.Unlock()
 		rp.kick()
 		return true

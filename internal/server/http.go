@@ -311,6 +311,10 @@ func (s *Server) writeMetrics(w io.Writer, vnow sim.Time, v outcomeView) {
 	p.intValue("qoserve_kvcache_prefix_transfer_tokens_total", "", kv.PrefixTransferTokens)
 	p.header("qoserve_kvcache_transfer_fallbacks_total", "Planned KV imports abandoned at admission and recomputed.", "counter")
 	p.intValue("qoserve_kvcache_transfer_fallbacks_total", "", kv.TransferFallbacks)
+	p.header("qoserve_kvcache_import_seconds_total", "Virtual seconds prefix KV imports occupied the replicas' inbound links.", "counter")
+	p.value("qoserve_kvcache_import_seconds_total", "", kv.ImportSeconds)
+	p.header("qoserve_kvcache_import_stall_seconds_total", "Virtual seconds batches waited for prefix KV imports still in flight.", "counter")
+	p.value("qoserve_kvcache_import_stall_seconds_total", "", kv.ImportStallSeconds)
 
 	if hasReleg {
 		p.header("qoserve_relegations_total", "Requests eagerly relegated.", "counter")

@@ -213,6 +213,8 @@ type Server struct {
 
 	prefixTransferTokens atomic.Uint64 // hit tokens imported across replicas
 	transferFallbacks    atomic.Uint64 // planned imports abandoned at admission
+	importTime           atomic.Int64  // sim.Time the imports occupied the links
+	importStall          atomic.Int64  // sim.Time batches waited on imports
 
 	// Disagg-mode lifetime counters.
 	handoffs       atomic.Uint64 // prefill->decode KV handoffs launched
@@ -269,8 +271,8 @@ type gatewayReplica struct {
 	// sleep or a channel operation.
 	mu sync.Mutex
 	// core is the replica's state machine. Its scheduler side runs under
-	// mu, its cache side (Admit, Release, Publish, KV) under kvMu; Price
-	// and the debt it clears are loop-owned.
+	// mu, its cache side (Admit, Release, Publish, KV) under kvMu; Price,
+	// the debt it clears and the import link it reads are loop-owned.
 	core *replica.Core
 	// decode is core's scheduler on a disagg decode-tier replica, nil
 	// elsewhere.
@@ -350,12 +352,18 @@ type admission struct {
 	entry *streamEntry
 	orig  *request.Request
 	home  int
-	// xferFrom/xferTokens carry a planned cross-replica KV import: credit
-	// xferTokens of the prefix by migrating the missing blocks from replica
-	// xferFrom. Zero xferTokens means no import was planned; the plan is
-	// re-validated at admission (see planTransfer).
-	xferFrom   int
-	xferTokens int
+	// xfer is the cross-replica KV import planned at enqueue, if any.
+	xfer transferPlan
+}
+
+// transferPlan is a planned cross-replica KV import: credit tokens of the
+// prefix by migrating the missing blocks from replica from, a transfer
+// that starts at virtual time at, when it was planned. Zero tokens means
+// no import was planned; the plan is re-validated at admission (see
+// planTransfer).
+type transferPlan struct {
+	from, tokens int
+	at           sim.Time
 }
 
 // pendingHandoff is one request whose prompt is prefilling on this tier as
@@ -654,7 +662,7 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 
 	pi := s.pick(req)
 	rp := s.reps[pi]
-	src, tok := s.planTransfer(req, pi, len(s.reps))
+	xfer := s.planTransfer(req, pi, len(s.reps))
 	rp.load.Add(1)
 	rp.snapQueued.Add(1)
 	rp.snapPrefill.Add(int64(req.PromptTokens))
@@ -672,7 +680,7 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 		s.releaseUnused(req, entry)
 		return ErrClosed
 	}
-	rp.inbox = append(rp.inbox, admission{req: req, entry: entry, xferFrom: src, xferTokens: tok})
+	rp.inbox = append(rp.inbox, admission{req: req, entry: entry, xfer: xfer})
 	rp.inboxMu.Unlock()
 	rp.kick()
 	s.accepted.Add(1)
@@ -721,21 +729,22 @@ func (s *Server) indexMatch(chain []uint64) func(int) int {
 	return func(j int) int { return s.prefixIdx.MatchTokens(j, chain) }
 }
 
-// planTransfer decides at submission whether the chosen replica should
-// import the request's cached prefix from another replica instead of
-// recomputing it: it returns the source and the total prefix tokens to
-// credit after the import, or (-1, 0) to recompute. tierN bounds the index
-// scan to the replicas that can hold the prefix (the prefill tier in
-// disagg mode). The plan is advisory — the index may be stale — so admit
-// re-validates the source's liveness and coverage before charging the
-// interconnect, falling back to recompute.
-func (s *Server) planTransfer(req *request.Request, chosen, tierN int) (src, tokens int) {
+// planTransfer decides at enqueue whether the chosen replica should import
+// the request's cached prefix from another replica instead of recomputing
+// it: it returns the source, the total prefix tokens to credit after the
+// import, and the virtual time now, when the transfer starts; the zero
+// plan means recompute. tierN bounds the index scan to the replicas that
+// can hold the prefix (the prefill tier in disagg mode). The plan is
+// advisory — the index may be stale — so admit re-validates the source's
+// liveness and coverage before charging the interconnect, falling back to
+// recompute.
+func (s *Server) planTransfer(req *request.Request, chosen, tierN int) transferPlan {
 	if s.cfg.KVTransferBandwidth <= 0 || len(req.PrefixHashes) == 0 {
-		return -1, 0
+		return transferPlan{}
 	}
 	holder, best := s.prefixIdx.BestMatch(tierN, req.PrefixHashes)
 	if holder < 0 || holder == chosen {
-		return -1, 0
+		return transferPlan{}
 	}
 	if best > req.PromptTokens-1 {
 		best = req.PromptTokens - 1
@@ -743,7 +752,7 @@ func (s *Server) planTransfer(req *request.Request, chosen, tierN int) (src, tok
 	local := s.prefixIdx.MatchTokens(chosen, req.PrefixHashes)
 	moved := best - local
 	if moved < cluster.DefaultMinMatchTokens {
-		return -1, 0
+		return transferPlan{}
 	}
 	// Migrate only when the interconnect beats recomputing the moved tokens
 	// as a single prefill chunk — conservative toward recompute, since real
@@ -752,9 +761,9 @@ func (s *Server) planTransfer(req *request.Request, chosen, tierN int) (src, tok
 		Prefill: []model.ChunkShape{{Tokens: moved, CtxStart: local}},
 	}).Seconds()
 	if s.reps[chosen].core.ImportSeconds(moved) >= recompute {
-		return -1, 0
+		return transferPlan{}
 	}
-	return holder, best
+	return transferPlan{from: holder, tokens: best, at: s.vnow()}
 }
 
 // transferableMatch re-validates a planned KV import source at admission:
@@ -796,10 +805,14 @@ func (rp *gatewayReplica) run() {
 			continue
 		}
 
-		// Warm prefixes promoted from DRAM and prefix KV imported from
-		// another replica since the last iteration pay their transfer
-		// here, serializing with compute.
-		exec, debt := rp.core.Price(batch)
+		// Warm prefixes promoted from DRAM since the last iteration pay
+		// their reload here, serializing with compute. Prefix KV imported
+		// from another replica has been in flight since its request was
+		// enqueued; the batch waits only for what is left of it.
+		exec, debt, stall := rp.core.Price(batch, now)
+		if stall > 0 {
+			rp.srv.importStall.Add(int64(stall))
+		}
 		time.Sleep(time.Duration(float64((exec + debt).Duration()) / rp.srv.cfg.Timescale))
 
 		rp.mu.Lock()
@@ -850,11 +863,13 @@ func (rp *gatewayReplica) admit() bool {
 	// requests: matched tokens are credited as already prefilled and DRAM
 	// promotions accrue debt for the next iteration's sleep. Planned
 	// cross-replica imports are re-validated here — the source may have
-	// crashed or evicted since submission — and credited like local hits,
-	// the interconnect time accruing as debt too. Handoffs arriving at a
-	// decode-tier replica instead emit their first token on admission.
+	// crashed or evicted since submission — and credited like local hits;
+	// each transfer runs from its enqueue on the replica's inbound link.
+	// Handoffs arriving at a decode-tier replica instead emit their first
+	// token on admission.
 	srv := rp.srv
 	var hitCredit, moveCredit, reloadCredit, fallbacks int64
+	var importTime sim.Time
 	now := srv.vnow()
 	rp.mu.Lock()
 	rp.kvMu.Lock()
@@ -874,14 +889,15 @@ func (rp *gatewayReplica) admit() bool {
 			continue
 		}
 		peer := 0
-		if ad.xferTokens > 0 {
-			peer = min(ad.xferTokens, srv.transferableMatch(ad.xferFrom, ad.req.PrefixHashes))
+		if ad.xfer.tokens > 0 {
+			peer = min(ad.xfer.tokens, srv.transferableMatch(ad.xfer.from, ad.req.PrefixHashes))
 		}
-		a := rp.core.Admit(ad.req, now, peer)
+		a := rp.core.Admit(ad.req, now, peer, ad.xfer.at)
 		hitCredit += int64(a.Hit)
 		moveCredit += int64(a.Imported)
 		reloadCredit += int64(a.Reloaded)
-		if a.Imported == 0 && ad.xferTokens > a.Hit {
+		importTime += a.ImportTime
+		if a.Imported == 0 && ad.xfer.tokens > a.Hit {
 			// Source gone: recompute instead. Never a silent drop — the
 			// request simply keeps its full prefill work.
 			fallbacks++
@@ -906,6 +922,7 @@ func (rp *gatewayReplica) admit() bool {
 	}
 	if moveCredit > 0 {
 		srv.prefixTransferTokens.Add(uint64(moveCredit))
+		srv.importTime.Add(int64(importTime))
 	}
 	if reloadCredit > 0 {
 		srv.reloadTokens.Add(uint64(reloadCredit))
@@ -1102,6 +1119,11 @@ type KVStats struct {
 	// TransferFallbacks counts planned imports abandoned at admission
 	// (source crashed or evicted its blocks) and served by recompute.
 	TransferFallbacks uint64
+	// ImportSeconds is the virtual time those imports occupied the
+	// destinations' inbound links; ImportStallSeconds is the part of it
+	// that batches waited for, the rest overlapping queueing and compute.
+	ImportSeconds      float64
+	ImportStallSeconds float64
 }
 
 // KVStats snapshots the prefix caches, probing each replica in turn.
@@ -1111,6 +1133,8 @@ func (s *Server) KVStats() KVStats {
 		ReloadTokens:         s.reloadTokens.Load(),
 		PrefixTransferTokens: s.prefixTransferTokens.Load(),
 		TransferFallbacks:    s.transferFallbacks.Load(),
+		ImportSeconds:        sim.Time(s.importTime.Load()).Seconds(),
+		ImportStallSeconds:   sim.Time(s.importStall.Load()).Seconds(),
 	}
 	for _, rp := range s.reps {
 		rp.kvMu.Lock()

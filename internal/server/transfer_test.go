@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"qoserve/internal/model"
 	"qoserve/internal/qos"
 	"qoserve/internal/sched"
+	"qoserve/internal/sim"
 )
 
 // TestGatewayCrossReplicaTransfer warms one replica's prefix cache, then
@@ -58,6 +61,20 @@ func TestGatewayCrossReplicaTransfer(t *testing.T) {
 	if kv.TransferFallbacks != 0 {
 		t.Fatalf("%d transfer fallbacks on a healthy gateway", kv.TransferFallbacks)
 	}
+	xfer := sim.FromSeconds(srv.reps[1].core.ImportSeconds(int(shareable))).Seconds()
+	if kv.ImportSeconds != xfer || kv.ImportStallSeconds > kv.ImportSeconds {
+		t.Fatalf("import took %v s and stalled %v s, want %v s and at most that", kv.ImportSeconds, kv.ImportStallSeconds, xfer)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		fmt.Sprintf("qoserve_kvcache_import_seconds_total %g\n", kv.ImportSeconds),
+		fmt.Sprintf("qoserve_kvcache_import_stall_seconds_total %g\n", kv.ImportStallSeconds),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
 
 	// Both replicas now hold the chain, so a third turn hits locally
 	// wherever the rotation lands it — no further interconnect traffic.
@@ -72,7 +89,7 @@ func TestGatewayCrossReplicaTransfer(t *testing.T) {
 
 	// Satellite observability: /debug/load exposes cache residency and the
 	// per-replica index epoch.
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/load", nil))
 	var lr LoadResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil {
@@ -94,6 +111,61 @@ func TestGatewayCrossReplicaTransfer(t *testing.T) {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatewayImportPlannedEarlyAddsNoStall holds the cold replica's inbox
+// so that a session's second turn is admitted more than one transfer time
+// after its import was planned: the transfer has landed by then, so the
+// batch that prefills the turn waits for none of it.
+func TestGatewayImportPlannedEarlyAddsNoStall(t *testing.T) {
+	const timescale = 1
+	srv, err := New(Config{
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
+		Replicas:         2,
+		Balancer:         &cluster.AtomicRoundRobin{}, // turn 1 on replica 0, turn 2 on replica 1
+		Classes:          qos.Table3(),
+		Timescale:        timescale,
+
+		KVTransferBandwidth: 64e9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	prompt := 512
+	chain := kvcache.SyntheticChain(22, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
+	sub := Submission{Class: "Q1", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain}
+	serveOne(t, srv, sub)
+
+	cold := srv.reps[1]
+	cold.inboxMu.Lock()
+	var st Stream
+	submitted := make(chan error, 1)
+	go func() { submitted <- srv.SubmitTo(sub, &st) }()
+	// SubmitTo counts the request against the replica after planning its
+	// import and before taking the inbox lock.
+	for cold.load.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	xfer := cold.core.ImportSeconds(len(chain) * kvcache.DefaultBlockTokens)
+	time.Sleep(time.Duration(2*xfer/timescale*float64(time.Second)) + time.Millisecond)
+	cold.inboxMu.Unlock()
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	if _, last := drain(&st); last.Token != 4 {
+		t.Fatalf("turn 2 ended at token %d, want 4", last.Token)
+	}
+
+	kv := srv.KVStats()
+	if kv.PrefixTransferTokens == 0 || kv.ImportSeconds == 0 {
+		t.Fatalf("turn 2 imported nothing (%d tokens, %v s)", kv.PrefixTransferTokens, kv.ImportSeconds)
+	}
+	if kv.ImportStallSeconds != 0 {
+		t.Fatalf("import planned %v s before admission stalled %v s", 2*xfer, kv.ImportStallSeconds)
 	}
 }
 
