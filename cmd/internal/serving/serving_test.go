@@ -35,4 +35,7 @@ func TestPolicyNames(t *testing.T) {
 	if _, err := Build(Options{Hardware: "llama3-8b", Policy: "nope", Balancer: "round-robin"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	if _, err := Build(Options{Hardware: "llama3-8b", Policy: "sarathi-fcfs", Chunk: -1, Balancer: "round-robin"}); err == nil {
+		t.Error("negative chunk accepted")
+	}
 }

@@ -6,18 +6,19 @@
 //
 //	qoserved -addr :8080 -policy qoserve -timescale 10
 //
-// With -mode disagg the replicas split into a prefill tier and a decode
-// tier joined by a modeled KV-transfer interconnect; -balancer predicted
-// routes each request to the replica with the lowest forest-predicted
-// completion latency:
-//
-//	qoserved -mode disagg -replicas 4 -prefill-replicas 2 -balancer predicted
-//
-// With -kv-transfer-gbps set, a replica that misses a prefix cached on
-// another replica imports the KV blocks over a modeled interconnect
-// instead of recomputing them:
+// -kv-transfer-gbps is the one modeled KV interconnect between replicas.
+// With it set, a replica that misses a prefix cached on another replica
+// imports the KV blocks over it instead of recomputing them:
 //
 //	qoserved -replicas 4 -balancer predicted -kv-transfer-gbps 64
+//
+// With -mode disagg the replicas split into a prefill tier and a decode
+// tier, and every prefilled prompt's KV crosses the same interconnect
+// (64 GB/s when -kv-transfer-gbps is 0); -balancer predicted routes each
+// request to the replica with the lowest forest-predicted completion
+// latency:
+//
+//	qoserved -mode disagg -replicas 4 -prefill-replicas 2 -balancer predicted
 //
 //	curl -s localhost:8080/v1/classes
 //	curl -s -X POST localhost:8080/v1/generate \
@@ -61,12 +62,11 @@ func main() {
 		mode       = flag.String("mode", "colocated", "colocated | disagg (split replicas into prefill and decode tiers)")
 		prefillN   = flag.Int("prefill-replicas", 0, "disagg prefill-tier size; 0 means (replicas+1)/2")
 		decodeCap  = flag.Int("decode-batch", 0, "disagg decode-tier batch cap; 0 derives it from the strictest TBT SLO")
-		xferGbps   = flag.Float64("transfer-gbps", 0, "disagg prefill->decode KV interconnect (GB/s); 0 means 64 (NVLink-class)")
 		balancer   = flag.String("balancer", "round-robin", "replica routing: round-robin | least-loaded | prefix | predicted")
 		streamBuf  = flag.Int("stream-buffer", 256, "per-stream event buffer (events); slow consumers drop overflow")
 		prefixMin  = flag.Int("prefix-min-match", cluster.DefaultMinMatchTokens, "smallest cached-prefix match (tokens) the prefix balancer chases")
 		kvDRAM     = flag.Int("kv-dram-tokens", 0, "DRAM spill tier per replica (tokens); 0 evicts demoted prefix blocks outright")
-		kvXferGbps = flag.Float64("kv-transfer-gbps", 0, "cross-replica KV migration interconnect (GB/s); 0 recomputes missed prefixes instead")
+		kvXferGbps = flag.Float64("kv-transfer-gbps", 0, "replica KV interconnect (GB/s) for prefix imports and disagg handoffs; 0 recomputes missed prefixes (disagg: 0 means 64)")
 	)
 	flag.Parse()
 
@@ -100,7 +100,6 @@ func main() {
 	if *mode == "disagg" {
 		cfg.PrefillReplicas = *prefillN
 		cfg.MaxDecodeBatch = *decodeCap
-		cfg.TransferBandwidth = *xferGbps * 1e9
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

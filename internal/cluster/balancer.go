@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"sync/atomic"
+
+	"qoserve/internal/replica"
 )
 
 // GatewayBalancer is the index-based routing core shared by the simulated
@@ -104,8 +106,9 @@ type PrefixAffinity struct {
 
 // DefaultMinMatchTokens is the default affinity threshold: four blocks of
 // cached prefix, roughly the point where skipped prefill outweighs the
-// risk of piling sessions onto one replica.
-const DefaultMinMatchTokens = 4 * 16
+// risk of piling sessions onto one replica. It is the gateway's import
+// floor, replica.MinImportTokens.
+const DefaultMinMatchTokens = replica.MinImportTokens
 
 // PickIndex routes a chainless request via the fallback balancer.
 //

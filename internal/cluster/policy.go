@@ -33,9 +33,13 @@ func NeedsForest(policy string) bool {
 // PolicyFactory resolves a policy name into a per-replica scheduler factory.
 // The caller loads the forest, which the qoserve and medha policies share
 // read-only across replicas (see NeedsForest). chunk is the fixed token
-// budget of the Sarathi policies (0 = sched.DefaultChunk), and opts tune the
-// qoserve policy.
+// budget of the Sarathi policies (0 = sched.DefaultChunk; negative is an
+// error, since such a policy would never plan a prefill), and opts tune
+// the qoserve policy.
 func PolicyFactory(policy string, forest *predictor.Forest, chunk int, opts core.Options) (SchedulerFactory, error) {
+	if chunk < 0 {
+		return nil, fmt.Errorf("negative chunk %d", chunk)
+	}
 	switch policy {
 	case PolicyQoServe:
 		return func() sched.Scheduler { return core.New(forest, opts) }, nil

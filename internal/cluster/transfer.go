@@ -7,10 +7,9 @@ import (
 )
 
 // TransferModel prices cross-replica KV migration for prefix-aware
-// routing: moving a cached prefix of hitTokens costs
-// BytesPerToken x hitTokens / BandwidthBps seconds of interconnect time.
-// The balancer charges this against the prefill time the migration saves,
-// so slow links naturally fall back to recompute.
+// routing over a replica.Link of BytesPerToken and BandwidthBps. The
+// balancer charges the link time against the prefill time the migration
+// saves, so slow links naturally fall back to recompute.
 type TransferModel struct {
 	// BytesPerToken is the KV footprint of one token for the served model
 	// (model.Config.KVBytesPerToken()).
@@ -42,17 +41,8 @@ func (t TransferModel) minTokens() int {
 //
 //qoserve:hotpath
 func (t TransferModel) Seconds(tokens int) float64 {
-	if tokens <= 0 || t.BandwidthBps <= 0 {
-		return 0
-	}
-	return float64(tokens) * t.BytesPerToken / t.BandwidthBps
-}
-
-// Time is Seconds as simulated time.
-//
-//qoserve:hotpath
-func (t TransferModel) Time(tokens int) sim.Time {
-	return sim.FromSeconds(t.Seconds(tokens))
+	l := replica.Link{BytesPerToken: t.BytesPerToken, Bandwidth: t.BandwidthBps}
+	return l.Seconds(tokens)
 }
 
 // PrefixSnapshotBalancer combines prefix awareness with predicted-latency
@@ -109,7 +99,7 @@ func (b *PredictedLatency) pickScoredPrefix(n int, load func(int) int, snap func
 			imported := predictor.EstimateCompletionPrefix(b.Predictor,
 				s.PendingPrefillTokens, s.ActiveDecodes, s.SumDecodeCtx, s.MaxDecodeCtx,
 				s.ChunkBudgetTokens, promptTokens, decodeTokens, bestHit,
-				b.Transfer.Time(bestHit-local))
+				sim.FromSeconds(b.Transfer.Seconds(bestHit-local)))
 			if imported < score {
 				score = imported
 			}

@@ -39,8 +39,8 @@ type PipelineConfig struct {
 	// StrictestTBT is used to derive MaxDecodeBatch when unset.
 	StrictestTBT sim.Time
 
-	// TransferBandwidth is the prefill->decode interconnect, bytes/s
-	// (default 64 GB/s, an NVLink-class link).
+	// TransferBandwidth is the prefill->decode interconnect (a
+	// replica.Link), bytes/s (default 64 GB/s, an NVLink-class link).
 	TransferBandwidth float64
 }
 
@@ -154,6 +154,7 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 	if cfg.TransferBandwidth <= 0 {
 		cfg.TransferBandwidth = 64e9
 	}
+	link := replica.NewLink(cfg.Model, cfg.TransferBandwidth)
 	maxBatch := cfg.MaxDecodeBatch
 	if maxBatch <= 0 {
 		tbt := cfg.StrictestTBT
@@ -226,8 +227,7 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 			}
 			orig, clone := trace[i], clones[i]
 			// KV transfer: full prompt context across the interconnect.
-			bytes := cfg.Model.Model.KVBytesPerToken() * float64(orig.PromptTokens)
-			dt := sim.FromSeconds(bytes / cfg.TransferBandwidth)
+			dt := sim.FromSeconds(link.Seconds(orig.PromptTokens))
 			transferTimes = append(transferTimes, dt)
 			arriveAt := clone.FinishedAt + dt
 			if arriveAt < now {

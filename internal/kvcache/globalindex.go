@@ -216,9 +216,6 @@ func NewGlobalIndex(replicas int) *GlobalIndex {
 	return &GlobalIndex{slots: make([]atomic.Pointer[IndexSnapshot], replicas)}
 }
 
-// Replicas is the number of slots.
-func (g *GlobalIndex) Replicas() int { return len(g.slots) }
-
 // Publish installs snap as replica i's current snapshot, stamping its
 // Epoch to the slot's previous epoch plus one. The index takes ownership:
 // the caller must not retain or mutate snap after publishing.

@@ -56,6 +56,8 @@ func (m ModelSpec) Validate() error {
 
 // KVBytesPerToken returns the KV-cache footprint of one token across all
 // layers, assuming 2-byte (fp16/bf16) elements.
+//
+//qoserve:hotpath
 func (m ModelSpec) KVBytesPerToken() float64 {
 	// K and V, per layer, per KV head, per head dim, 2 bytes each.
 	return 2 * float64(m.Layers) * float64(m.KVHeads) * float64(m.HeadDim) * 2
@@ -140,6 +142,8 @@ func (c Config) Name() string {
 func (c Config) GPUs() int { return c.TP }
 
 // effectiveFLOPS is the usable aggregate FLOP rate across the TP group.
+//
+//qoserve:hotpath
 func (c Config) effectiveFLOPS() float64 {
 	return c.GPU.FLOPS * c.Efficiency * float64(c.TP)
 }
@@ -147,6 +151,8 @@ func (c Config) effectiveFLOPS() float64 {
 // LinearTimePerToken is the time to push one token through the model's
 // linear (MLP + projection) layers, including tensor-parallel all-reduce
 // traffic. Attention-over-context costs are separate.
+//
+//qoserve:hotpath
 func (c Config) LinearTimePerToken() sim.Time {
 	compute := 2 * c.Model.Params / c.effectiveFLOPS() // 2 FLOPs per param per token
 	comm := 0.0
@@ -162,6 +168,8 @@ func (c Config) LinearTimePerToken() sim.Time {
 // PrefillAttnTime is the compute time for attention of a prefill chunk of
 // chunkTokens tokens whose first token already has ctxStart tokens of
 // context (earlier chunks of the same prompt).
+//
+//qoserve:hotpath
 func (c Config) PrefillAttnTime(chunkTokens, ctxStart int) sim.Time {
 	if chunkTokens <= 0 {
 		return 0
@@ -174,6 +182,8 @@ func (c Config) PrefillAttnTime(chunkTokens, ctxStart int) sim.Time {
 
 // DecodeAttnTime is the memory-bound time for one decode token attending
 // over ctx tokens of KV cache.
+//
+//qoserve:hotpath
 func (c Config) DecodeAttnTime(ctx int) sim.Time {
 	bytes := c.Model.KVBytesPerToken() * float64(ctx)
 	bw := c.GPU.MemBandwidth * float64(c.TP)
@@ -207,6 +217,8 @@ type BatchShape struct {
 }
 
 // TotalNewTokens is the number of tokens produced/processed this iteration.
+//
+//qoserve:hotpath
 func (b BatchShape) TotalNewTokens() int {
 	n := len(b.DecodeCtx)
 	for _, p := range b.Prefill {
@@ -215,17 +227,10 @@ func (b BatchShape) TotalNewTokens() int {
 	return n
 }
 
-// PrefillTokens is the number of prompt tokens in the batch.
-func (b BatchShape) PrefillTokens() int {
-	n := 0
-	for _, p := range b.Prefill {
-		n += p.Tokens
-	}
-	return n
-}
-
 // BatchTime predicts the execution latency of one iteration over the given
 // batch. An empty batch costs nothing.
+//
+//qoserve:hotpath
 func (c Config) BatchTime(b BatchShape) sim.Time {
 	newTokens := b.TotalNewTokens()
 	if newTokens == 0 {

@@ -38,19 +38,11 @@ type Core struct {
 	// priced batch. It serializes with that batch's execution: a reload is
 	// discovered at admission, so nothing earlier overlaps it.
 	debt sim.Time
-	// linkFree is when the inbound interconnect finishes the cross-replica
-	// KV imports already started. Imports serialize on it, each starting
-	// when it was planned or when the link frees, whichever is later, and
-	// run while the request queues and the current batch executes; the
-	// next batch stalls only for the part still in flight.
-	linkFree sim.Time
+	link Link // inbound interconnect; imports queue on it from planning on
 
 	index     *kvcache.GlobalIndex // nil: publish nowhere
 	slot      int
 	published uint64 // kv membership version last published
-
-	kvBytesPerToken float64
-	importBandwidth float64 // bytes per virtual second; 0 disables imports
 
 	finished []uint64 // requests Complete saw finish, awaiting Release
 	shape    model.BatchShape
@@ -62,23 +54,22 @@ type CoreOptions struct {
 	// Index receives the core's prefix-cache membership in slot Slot.
 	Index *kvcache.GlobalIndex
 	Slot  int
-	// ImportBandwidth prices prefix KV imported from a peer replica, in
-	// bytes per second of virtual time.
+	// ImportBandwidth is the core's inbound link (see Link), in bytes per
+	// second of virtual time; zero disables imports.
 	ImportBandwidth float64
 }
 
 // NewCore builds a core over a scheduler and a KV cache.
 func NewCore(cfg model.Config, sch sched.Scheduler, kv *kvcache.Manager, opts CoreOptions) *Core {
 	return &Core{
-		cfg:             cfg,
-		sch:             sch,
-		kv:              kv,
-		capacity:        kv.CapacityTokens(),
-		index:           opts.Index,
-		slot:            opts.Slot,
-		published:       kv.IndexVersion(),
-		kvBytesPerToken: cfg.Model.KVBytesPerToken(),
-		importBandwidth: opts.ImportBandwidth,
+		cfg:       cfg,
+		sch:       sch,
+		kv:        kv,
+		capacity:  kv.CapacityTokens(),
+		link:      NewLink(cfg, opts.ImportBandwidth),
+		index:     opts.Index,
+		slot:      opts.Slot,
+		published: kv.IndexVersion(),
 	}
 }
 
@@ -96,14 +87,9 @@ func (c *Core) Capacity() int { return c.capacity }
 // simulator counts it rejected, the gateway answers 400.
 func (c *Core) Fits(tokens int) bool { return tokens <= c.capacity }
 
-// ImportSeconds prices moving tokens of prefix KV from a peer replica, in
-// virtual seconds; zero when imports are disabled.
-func (c *Core) ImportSeconds(tokens int) float64 {
-	if tokens <= 0 || c.importBandwidth <= 0 {
-		return 0
-	}
-	return float64(tokens) * c.kvBytesPerToken / c.importBandwidth
-}
+// Link returns the core's inbound interconnect. Its Seconds is safe from
+// any goroutine; the rest belongs to the core's driver.
+func (c *Core) Link() *Link { return &c.link }
 
 // Admission is what Admit credited to one request.
 type Admission struct {
@@ -120,21 +106,19 @@ type Admission struct {
 // Admit takes r into the core at now. A request that has not started
 // prefill pins its cached prefix and is credited with it. When a live peer
 // holds peer tokens of the prefix, more than the local hit, the missing
-// blocks are imported instead of recomputed: the import was planned at
-// start (at most now), and it occupies the inbound link from start or
-// from the end of the imports before it, whichever is later. The model
-// assumes the destination's blocks were free from start on. Reload time
-// accrues as debt for the next priced batch. Then r joins the scheduler.
+// blocks are imported instead of recomputed, queued on the link from
+// start, when the import was planned (at most now); the model assumes the
+// destination's blocks were free from then on. Reload time accrues as
+// debt for the next priced batch. Then r joins the scheduler.
 func (c *Core) Admit(r *request.Request, now sim.Time, peer int, start sim.Time) Admission {
 	var a Admission
 	if len(r.PrefixHashes) > 0 && r.PrefilledTokens == r.PrefixHitTokens {
 		res := c.kv.AcquirePrefix(r.ID, r.PrefixHashes)
 		a.Hit, a.Reloaded = res.HitTokens, res.ReloadTokens
-		if peer > a.Hit && c.importBandwidth > 0 {
+		if peer > a.Hit && c.link.Bandwidth > 0 {
 			a.Imported = peer - a.Hit
 			a.Hit = peer
-			a.ImportTime = sim.FromSeconds(c.ImportSeconds(a.Imported))
-			c.linkFree = max(start, c.linkFree) + a.ImportTime
+			a.ImportTime = c.link.Start(a.Imported, start)
 		}
 		r.ApplyPrefixHit(a.Hit)
 		if a.Reloaded > 0 {
@@ -171,7 +155,7 @@ func (c *Core) Price(b sched.Batch, now sim.Time) (exec, debt, stall sim.Time) {
 	if exec <= 0 {
 		panic(fmt.Sprintf("replica: non-positive batch time %v for %v", exec, b))
 	}
-	stall = max(c.linkFree-now, 0)
+	stall = c.link.Stall(now)
 	debt, c.debt = c.debt+stall, 0
 	return exec, debt, stall
 }
@@ -244,7 +228,7 @@ func (c *Core) Publish() {
 // Publish exports the new, empty membership regardless of its version.
 func (c *Core) restart(sch sched.Scheduler, kv *kvcache.Manager) {
 	c.sch, c.kv = sch, kv
-	c.debt, c.linkFree = 0, 0
+	c.debt, c.link.free = 0, 0
 	c.finished = c.finished[:0]
 	c.published = ^uint64(0)
 }

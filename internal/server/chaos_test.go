@@ -29,11 +29,11 @@ func TestChaosPrefillCrashMidTransferNoSilentDrop(t *testing.T) {
 	// while several are in flight.
 	bandwidth := mc.Model.KVBytesPerToken() * prompt / 20
 	srv := newDisaggServer(t, Config{
-		Model:             mc,
-		Replicas:          2,
-		PrefillReplicas:   1,
-		Timescale:         100,
-		TransferBandwidth: bandwidth,
+		Model:               mc,
+		Replicas:            2,
+		PrefillReplicas:     1,
+		Timescale:           100,
+		KVTransferBandwidth: bandwidth,
 	})
 
 	const n = 6
@@ -136,11 +136,11 @@ func TestChaosCrashFailsOverToHealthyPrefillReplica(t *testing.T) {
 	const prompt = 512
 	bandwidth := mc.Model.KVBytesPerToken() * prompt / 20 // ~200ms per transfer
 	srv := newDisaggServer(t, Config{
-		Model:             mc,
-		Replicas:          3,
-		PrefillReplicas:   2,
-		Timescale:         100,
-		TransferBandwidth: bandwidth,
+		Model:               mc,
+		Replicas:            3,
+		PrefillReplicas:     2,
+		Timescale:           100,
+		KVTransferBandwidth: bandwidth,
 		// Round-robin so both prefill replicas hold work at crash time.
 	})
 

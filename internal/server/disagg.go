@@ -18,9 +18,9 @@ import (
 // preemptible prefill granularity, so a tight-deadline prompt can still
 // overtake a long one mid-prefill — while the original request is
 // assigned a fixed decode-tier home. When the clone finishes, its KV
-// pages "transfer" across the interconnect (a virtual-time delay sized by
-// the model's KV bytes per token and Config.TransferBandwidth) and the
-// original joins its home, which runs the same serving loop over a
+// pages "transfer" across the interconnect (a virtual-time delay: the
+// prompt's time on the home's replica.Link, Config.KVTransferBandwidth)
+// and the original joins its home, which runs the same serving loop over a
 // disagg.DecodeScheduler: FCFS batches capped so iteration time stays
 // under the strictest TBT.
 //
@@ -97,7 +97,7 @@ func (s *Server) prefillClone(orig *request.Request) *request.Request {
 func (s *Server) submitDisagg(req *request.Request, entry *streamEntry, st *Stream) error {
 	id := req.ID
 	home := s.pickDecodeHome(req)
-	h := pendingHandoff{clone: s.prefillClone(req), orig: req, entry: entry, home: home}
+	h := admission{req: s.prefillClone(req), orig: req, entry: entry, home: home}
 	s.reps[home].load.Add(1)
 	s.inFlight.Add(1)
 	if !s.enqueuePrefill(h) {
@@ -174,7 +174,7 @@ func (s *Server) healthyPrefill() int {
 // enqueuePrefill places the handoff's clone on a healthy prefill replica,
 // re-picking if the chosen replica crashes under it. False means no
 // healthy prefill replica remains (or the server closed).
-func (s *Server) enqueuePrefill(h pendingHandoff) bool {
+func (s *Server) enqueuePrefill(h admission) bool {
 	for attempt := 0; attempt <= s.prefillReps; attempt++ {
 		i := s.pickPrefill(h.orig)
 		if i < 0 {
@@ -196,8 +196,8 @@ func (s *Server) enqueuePrefill(h pendingHandoff) bool {
 			}
 			continue // crashed between pick and enqueue; re-pick
 		}
-		xfer := s.planTransfer(h.clone, i, s.prefillReps)
-		rp.inbox = append(rp.inbox, admission{req: h.clone, entry: h.entry, orig: h.orig, home: h.home, xfer: xfer})
+		h.xfer = rp.core.PlanImport(h.req, s.prefillReps, s.vnow())
+		rp.inbox = append(rp.inbox, h)
 		rp.inboxMu.Unlock()
 		rp.kick()
 		return true
@@ -207,25 +207,24 @@ func (s *Server) enqueuePrefill(h pendingHandoff) bool {
 
 // launchHandoffs starts the KV transfer for every clone that finished
 // prefill this iteration. Runs on the prefill loop goroutine after
-// finishIteration; the transfer is a virtual-time delay (KV bytes /
-// interconnect bandwidth), after which the original request arrives at
-// its decode home.
+// finishIteration; the transfer is a virtual-time delay, the prompt's
+// time on the decode home's link, after which the original request
+// arrives there.
 func (rp *gatewayReplica) launchHandoffs() {
 	srv := rp.srv
 	for _, h := range rp.handoffQ {
-		delete(rp.pending, h.clone.ID)
+		delete(rp.pending, h.req.ID)
 		rp.active--
 		rp.load.Add(-1)
 		srv.handoffs.Add(1)
 		srv.transferTokens.Add(uint64(h.orig.PromptTokens))
-		bytes := srv.cfg.Model.Model.KVBytesPerToken() * float64(h.orig.PromptTokens)
-		wall := bytes / srv.cfg.TransferBandwidth * float64(time.Second) / srv.cfg.Timescale
+		wall := srv.reps[h.home].core.Link().Seconds(h.orig.PromptTokens) * float64(time.Second) / srv.cfg.Timescale
 		h := h
 		src := rp
 		time.AfterFunc(time.Duration(wall), func() { srv.deliverHandoff(src, h) })
 	}
 	for i := range rp.handoffQ {
-		rp.handoffQ[i] = pendingHandoff{}
+		rp.handoffQ[i] = admission{}
 	}
 	rp.handoffQ = rp.handoffQ[:0]
 }
@@ -235,7 +234,7 @@ func (rp *gatewayReplica) launchHandoffs() {
 // gone and the request re-prefills elsewhere (or fails with a reason).
 //
 //qoserve:outcome requeue
-func (s *Server) deliverHandoff(src *gatewayReplica, h pendingHandoff) {
+func (s *Server) deliverHandoff(src *gatewayReplica, h admission) {
 	if s.closed.Load() {
 		return
 	}
@@ -260,7 +259,7 @@ func (s *Server) deliverHandoff(src *gatewayReplica, h pendingHandoff) {
 // no healthy replica remains. The original request's state is reset under
 // its decode home's lock — the home loop has never seen the request, so
 // that lock only fences the metrics scanners reading the live set.
-func (s *Server) retryOrFail(h pendingHandoff, cause string) {
+func (s *Server) retryOrFail(h admission, cause string) {
 	home := s.reps[h.home]
 	home.mu.Lock()
 	h.orig.ResetForRetry()
@@ -271,7 +270,7 @@ func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 		s.failRequest(h, fmt.Sprintf("%s; retry budget exhausted after %d attempts", cause, retries))
 		return
 	}
-	h.clone = s.prefillClone(h.orig)
+	h.req = s.prefillClone(h.orig)
 	if !s.enqueuePrefill(h) {
 		s.failRequest(h, fmt.Sprintf("%s; no healthy prefill replica", cause))
 	}
@@ -286,7 +285,7 @@ func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 // cold path, and its prefill clones share its prefix-hash storage).
 //
 //qoserve:outcome complete
-func (s *Server) failRequest(h pendingHandoff, reason string) {
+func (s *Server) failRequest(h admission, reason string) {
 	home := s.reps[h.home]
 	home.mu.Lock()
 	h.orig.FailedReason = reason
@@ -363,10 +362,10 @@ func (rp *gatewayReplica) crashDrain() {
 		if ad.orig == nil {
 			continue
 		}
-		srv.retryOrFail(pendingHandoff{clone: ad.req, orig: ad.orig, entry: ad.entry, home: ad.home}, "prefill replica crashed")
+		srv.retryOrFail(ad, "prefill replica crashed")
 	}
 	for _, h := range rp.pending {
-		srv.lostTokens.Add(uint64(h.clone.ContextLen()))
+		srv.lostTokens.Add(uint64(h.req.ContextLen()))
 		srv.retryOrFail(h, "prefill replica crashed")
 	}
 	clear(rp.pending)

@@ -53,7 +53,7 @@ func TestDisaggConfigValidation(t *testing.T) {
 		func(c *Config) { c.Mode = "disagg"; c.Replicas = 4; c.PrefillReplicas = -1 },
 		func(c *Config) { c.Mode = "colocated"; c.Replicas = 4; c.PrefillReplicas = 2 },
 		func(c *Config) { c.Mode = "spatial"; c.Replicas = 4 },
-		func(c *Config) { c.Mode = "disagg"; c.Replicas = 4; c.TransferBandwidth = -1 },
+		func(c *Config) { c.Mode = "disagg"; c.Replicas = 4; c.KVTransferBandwidth = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := base

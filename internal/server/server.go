@@ -116,13 +116,14 @@ type Config struct {
 	// (kvcache.GlobalIndex), and routing probes that index instead of
 	// taking per-replica cache locks. Kept so existing callers compile.
 	GlobalPrefixIndex bool
-	// KVTransferBandwidth enables cross-replica KV migration: when another
-	// replica holds a longer cached prefix than the routed one, the missing
-	// blocks move over an interconnect of this many bytes per second of
-	// virtual time instead of being recomputed — if the modeled transfer is
-	// cheaper than the prefill it saves. Zero disables migration. Valid in
-	// both modes; distinct from TransferBandwidth, the disagg
-	// prefill->decode handoff fabric.
+	// KVTransferBandwidth is the replica interconnect (replica.Link), in
+	// bytes per second of virtual time. When another replica holds a
+	// longer cached prefix than the routed one, the missing blocks move
+	// over it instead of being recomputed — if the modeled transfer is
+	// cheaper than the prefill it saves — and in disagg mode every
+	// prefill->decode KV handoff crosses it too. Zero means colocated
+	// replicas recompute missed prefixes; disagg mode, which cannot run
+	// without moving KV, defaults it to 64 GB/s (an NVLink-class fabric).
 	KVTransferBandwidth float64
 	// StreamBuffer is roughly how many undelivered events each stream may
 	// hold (default 256): the per-stream frame channel is
@@ -168,10 +169,6 @@ type Config struct {
 	// strictest TBT SLO among Classes from the cost model
 	// (disagg.DeriveDecodeBatch; see strictestTBT).
 	MaxDecodeBatch int
-	// TransferBandwidth is the prefill->decode KV interconnect in bytes
-	// per second of virtual time (default 64 GB/s, an NVLink-class
-	// fabric). Disagg only.
-	TransferBandwidth float64
 }
 
 // Server is the sharded real-time serving gateway. Create with New, stop
@@ -312,7 +309,7 @@ type gatewayReplica struct {
 	// pending tracks prefill clones admitted here and not yet handed off
 	// to the decode tier, keyed by clone ID. Loop-owned (crashDrain runs
 	// on the loop goroutine); nil outside the disagg prefill tier.
-	pending map[uint64]pendingHandoff
+	pending map[uint64]admission
 
 	// kvMu guards the core's prefix cache. The serving loop pins prefixes
 	// at admission and unpins on completion, publishing membership changes
@@ -327,10 +324,9 @@ type gatewayReplica struct {
 	sendQ       []*streamEntry          // entries with staged frames
 	finalQ      []*streamEntry          // streams finished this iteration
 	spares      [][]Event               // pre-stocked frames for flushFrames
-	idleTimer   *time.Timer             // idleWait's reusable fallback timer
 	active      int                     // requests admitted here and unfinished
 	hist        histShard               // iteration-latency histogram shard
-	handoffQ    []pendingHandoff        // clones finished this iteration, to launch
+	handoffQ    []admission             // clones finished this iteration, to launch
 	tally       loadTally               // gauge changes of the batch being completed
 }
 
@@ -343,36 +339,20 @@ type loadTally struct {
 	maxCtx  int
 }
 
-// admission is one submitted request en route to its serving loop. On the
-// disagg prefill tier req is a single-token prefill clone and orig/home
-// carry the real request and its decode-tier destination; elsewhere orig
+// admission is one submitted request en route to, or held by, a serving
+// loop. On the disagg prefill tier req is a single-token prefill clone
+// and orig/home carry the real request and its decode-tier destination,
+// fixed at submission; the same tuple waits in pending while the clone
+// prefills and in handoffQ until its KV transfer launches. Elsewhere orig
 // is nil.
 type admission struct {
 	req   *request.Request
 	entry *streamEntry
 	orig  *request.Request
 	home  int
-	// xfer is the cross-replica KV import planned at enqueue, if any.
-	xfer transferPlan
-}
-
-// transferPlan is a planned cross-replica KV import: credit tokens of the
-// prefix by migrating the missing blocks from replica from, a transfer
-// that starts at virtual time at, when it was planned. Zero tokens means
-// no import was planned; the plan is re-validated at admission (see
-// planTransfer).
-type transferPlan struct {
-	from, tokens int
-	at           sim.Time
-}
-
-// pendingHandoff is one request whose prompt is prefilling on this tier as
-// a single-token clone, awaiting KV transfer to its fixed decode home.
-type pendingHandoff struct {
-	clone *request.Request
-	orig  *request.Request
-	entry *streamEntry
-	home  int // decode-tier replica index, fixed at submission
+	// xfer is the cross-replica KV import planned at enqueue, if any; the
+	// loop re-validates its source at admission.
+	xfer replica.ImportPlan
 }
 
 // New validates the configuration and starts the serving loops.
@@ -437,11 +417,8 @@ func New(cfg Config) (*Server, error) {
 		if cfg.PrefillReplicas < 1 || cfg.PrefillReplicas >= cfg.Replicas {
 			return nil, fmt.Errorf("server: %d prefill replicas leaves no decode tier (replicas %d)", cfg.PrefillReplicas, cfg.Replicas)
 		}
-		if cfg.TransferBandwidth == 0 {
-			cfg.TransferBandwidth = 64e9
-		}
-		if cfg.TransferBandwidth < 0 {
-			return nil, fmt.Errorf("server: negative transfer bandwidth")
+		if cfg.KVTransferBandwidth == 0 {
+			cfg.KVTransferBandwidth = 64e9
 		}
 		if cfg.MaxDecodeBatch == 0 {
 			cfg.MaxDecodeBatch = disagg.DeriveDecodeBatch(cfg.Model, strictestTBT(cfg.Classes), 2048)
@@ -528,7 +505,7 @@ func New(cfg Config) (*Server, error) {
 			Index: s.prefixIdx, Slot: i, ImportBandwidth: cfg.KVTransferBandwidth,
 		})
 		if i < s.prefillReps {
-			rp.pending = make(map[uint64]pendingHandoff, 64)
+			rp.pending = make(map[uint64]admission, 64)
 		}
 		s.reps = append(s.reps, rp)
 	}
@@ -662,7 +639,7 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 
 	pi := s.pick(req)
 	rp := s.reps[pi]
-	xfer := s.planTransfer(req, pi, len(s.reps))
+	xfer := rp.core.PlanImport(req, len(s.reps), s.vnow())
 	rp.load.Add(1)
 	rp.snapQueued.Add(1)
 	rp.snapPrefill.Add(int64(req.PromptTokens))
@@ -729,43 +706,6 @@ func (s *Server) indexMatch(chain []uint64) func(int) int {
 	return func(j int) int { return s.prefixIdx.MatchTokens(j, chain) }
 }
 
-// planTransfer decides at enqueue whether the chosen replica should import
-// the request's cached prefix from another replica instead of recomputing
-// it: it returns the source, the total prefix tokens to credit after the
-// import, and the virtual time now, when the transfer starts; the zero
-// plan means recompute. tierN bounds the index scan to the replicas that
-// can hold the prefix (the prefill tier in disagg mode). The plan is
-// advisory — the index may be stale — so admit re-validates the source's
-// liveness and coverage before charging the interconnect, falling back to
-// recompute.
-func (s *Server) planTransfer(req *request.Request, chosen, tierN int) transferPlan {
-	if s.cfg.KVTransferBandwidth <= 0 || len(req.PrefixHashes) == 0 {
-		return transferPlan{}
-	}
-	holder, best := s.prefixIdx.BestMatch(tierN, req.PrefixHashes)
-	if holder < 0 || holder == chosen {
-		return transferPlan{}
-	}
-	if best > req.PromptTokens-1 {
-		best = req.PromptTokens - 1
-	}
-	local := s.prefixIdx.MatchTokens(chosen, req.PrefixHashes)
-	moved := best - local
-	if moved < cluster.DefaultMinMatchTokens {
-		return transferPlan{}
-	}
-	// Migrate only when the interconnect beats recomputing the moved tokens
-	// as a single prefill chunk — conservative toward recompute, since real
-	// chunked prefill pays per-iteration overhead on top.
-	recompute := s.cfg.Model.BatchTime(model.BatchShape{
-		Prefill: []model.ChunkShape{{Tokens: moved, CtxStart: local}},
-	}).Seconds()
-	if s.reps[chosen].core.ImportSeconds(moved) >= recompute {
-		return transferPlan{}
-	}
-	return transferPlan{from: holder, tokens: best, at: s.vnow()}
-}
-
 // transferableMatch re-validates a planned KV import source at admission:
 // the chain coverage it currently advertises, or 0 when it is down or out
 // of range.
@@ -796,12 +736,9 @@ func (rp *gatewayReplica) run() {
 		rp.mu.Unlock()
 
 		if batch.Empty() {
-			if rp.active > 0 {
-				// Pending work but nothing runnable this instant (can happen
-				// transiently with admission-style schedulers); park until a
-				// kick or the coarse fallback tick instead of busy-polling.
-				rp.idleWait()
-			}
+			// Nothing admitted is left: every served policy plans a
+			// non-empty batch while it holds a request, and active counts
+			// only requests the core holds. admit parks the loop.
 			continue
 		}
 
@@ -877,7 +814,7 @@ func (rp *gatewayReplica) admit() bool {
 		if ad.orig != nil {
 			// Disagg prefill clone: no stream here — its completion hands
 			// the original off to the decode tier instead.
-			rp.pending[ad.req.ID] = pendingHandoff{clone: ad.req, orig: ad.orig, entry: ad.entry, home: ad.home}
+			rp.pending[ad.req.ID] = ad
 		} else {
 			rp.streams[ad.req.ID] = ad.entry
 			if len(rp.streams) > rp.streamsPeak {
@@ -889,15 +826,15 @@ func (rp *gatewayReplica) admit() bool {
 			continue
 		}
 		peer := 0
-		if ad.xfer.tokens > 0 {
-			peer = min(ad.xfer.tokens, srv.transferableMatch(ad.xfer.from, ad.req.PrefixHashes))
+		if ad.xfer.Tokens > 0 {
+			peer = min(ad.xfer.Tokens, srv.transferableMatch(ad.xfer.From, ad.req.PrefixHashes))
 		}
-		a := rp.core.Admit(ad.req, now, peer, ad.xfer.at)
+		a := rp.core.Admit(ad.req, now, peer, ad.xfer.At)
 		hitCredit += int64(a.Hit)
 		moveCredit += int64(a.Imported)
 		reloadCredit += int64(a.Reloaded)
 		importTime += a.ImportTime
-		if a.Imported == 0 && ad.xfer.tokens > a.Hit {
+		if a.Imported == 0 && ad.xfer.Tokens > a.Hit {
 			// Source gone: recompute instead. Never a silent drop — the
 			// request simply keeps its full prefill work.
 			fallbacks++

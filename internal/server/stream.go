@@ -277,24 +277,6 @@ func (s *Server) kickDrain() {
 	}
 }
 
-// idleWait parks a loop that has admitted work but planned an empty batch
-// (transiently possible with admission-style schedulers) until the next
-// kick or a 1 ms fallback tick. The timer is armed only here, so a fully
-// idle replica (parked in admit on the notify channel) schedules no
-// timers and burns no CPU.
-func (rp *gatewayReplica) idleWait() {
-	if rp.idleTimer == nil {
-		rp.idleTimer = time.NewTimer(time.Millisecond)
-	} else {
-		rp.idleTimer.Reset(time.Millisecond)
-	}
-	select {
-	case <-rp.notify:
-	case <-rp.idleTimer.C:
-	}
-	rp.idleTimer.Stop()
-}
-
 // finishIteration runs the post-mu phase of one serving iteration: batch
 // the iteration's KV releases into one kvMu section, freeze finished
 // requests' outcomes (recycling their objects), and deliver staged

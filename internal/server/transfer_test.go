@@ -61,7 +61,7 @@ func TestGatewayCrossReplicaTransfer(t *testing.T) {
 	if kv.TransferFallbacks != 0 {
 		t.Fatalf("%d transfer fallbacks on a healthy gateway", kv.TransferFallbacks)
 	}
-	xfer := sim.FromSeconds(srv.reps[1].core.ImportSeconds(int(shareable))).Seconds()
+	xfer := sim.FromSeconds(srv.reps[1].core.Link().Seconds(int(shareable))).Seconds()
 	if kv.ImportSeconds != xfer || kv.ImportStallSeconds > kv.ImportSeconds {
 		t.Fatalf("import took %v s and stalled %v s, want %v s and at most that", kv.ImportSeconds, kv.ImportStallSeconds, xfer)
 	}
@@ -150,7 +150,7 @@ func TestGatewayImportPlannedEarlyAddsNoStall(t *testing.T) {
 	for cold.load.Load() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	xfer := cold.core.ImportSeconds(len(chain) * kvcache.DefaultBlockTokens)
+	xfer := cold.core.Link().Seconds(len(chain) * kvcache.DefaultBlockTokens)
 	time.Sleep(time.Duration(2*xfer/timescale*float64(time.Second)) + time.Millisecond)
 	cold.inboxMu.Unlock()
 	if err := <-submitted; err != nil {
@@ -173,56 +173,68 @@ func TestGatewayImportPlannedEarlyAddsNoStall(t *testing.T) {
 // holding a session's prefix between turns: the stale global index still
 // advertises the dead holder, so the next turn plans an import from it —
 // and admission must detect the crash, count a fallback, and recompute.
-// The request completes normally; nothing is dropped or failed.
+// The request completes normally; nothing is dropped or failed. It runs
+// with the interconnect set and unset: disagg mode defaults the link, so
+// prefill replicas import prefixes without being asked to.
 func TestChaosTransferSourceCrashFallsBackToRecompute(t *testing.T) {
-	srv := newDisaggServer(t, Config{
-		Replicas:        3,
-		PrefillReplicas: 2,
-		Balancer:        &cluster.PrefixAffinity{},
+	for _, tc := range []struct {
+		name      string
+		bandwidth float64
+	}{
+		{"bandwidth set", 64e9},
+		{"bandwidth unset", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newDisaggServer(t, Config{
+				Replicas:        3,
+				PrefillReplicas: 2,
+				Balancer:        &cluster.PrefixAffinity{},
 
-		KVTransferBandwidth: 64e9,
-	})
+				KVTransferBandwidth: tc.bandwidth,
+			})
 
-	prompt := 512
-	chain := kvcache.SyntheticChain(31, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
-	serveOne(t, srv, Submission{Class: "Q2", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+			prompt := 512
+			chain := kvcache.SyntheticChain(31, 0, kvcache.ChainBlocks(prompt, kvcache.DefaultBlockTokens))
+			serveOne(t, srv, Submission{Class: "Q2", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
 
-	holder, hit := srv.prefixIdx.BestMatch(srv.prefillReps, chain)
-	if holder < 0 || hit == 0 {
-		t.Fatalf("warm turn published nothing (holder %d, hit %d)", holder, hit)
-	}
-	if err := srv.Crash(holder); err != nil {
-		t.Fatal(err)
-	}
+			holder, hit := srv.prefixIdx.BestMatch(srv.prefillReps, chain)
+			if holder < 0 || hit == 0 {
+				t.Fatalf("warm turn published nothing (holder %d, hit %d)", holder, hit)
+			}
+			if err := srv.Crash(holder); err != nil {
+				t.Fatal(err)
+			}
 
-	// Turn 2: affinity routes to the dead holder, health fails it over to
-	// the survivor, and the planned import from the stale index entry must
-	// collapse to recompute at admission.
-	st, err := srv.Submit(Submission{Class: "Q2", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, last := drain(st); last.Token != 4 {
-		t.Fatalf("post-crash turn ended at token %d, want 4", last.Token)
-	}
-	if reason := st.Result().Failed; reason != "" {
-		t.Fatalf("post-crash turn failed: %q", reason)
-	}
+			// Turn 2: affinity routes to the dead holder, health fails it over to
+			// the survivor, and the planned import from the stale index entry must
+			// collapse to recompute at admission.
+			st, err := srv.Submit(Submission{Class: "Q2", PromptTokens: prompt, DecodeTokens: 4, PrefixHashes: chain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, last := drain(st); last.Token != 4 {
+				t.Fatalf("post-crash turn ended at token %d, want 4", last.Token)
+			}
+			if reason := st.Result().Failed; reason != "" {
+				t.Fatalf("post-crash turn failed: %q", reason)
+			}
 
-	kv := srv.KVStats()
-	if kv.TransferFallbacks == 0 {
-		t.Fatal("crashed transfer source recorded no fallback")
-	}
-	if kv.PrefixTransferTokens != 0 {
-		t.Fatalf("%d tokens transferred from a dead replica", kv.PrefixTransferTokens)
-	}
-	if got := srv.failedReqs.Load(); got != 0 {
-		t.Fatalf("%d requests failed; fallback must recompute, not drop", got)
-	}
+			kv := srv.KVStats()
+			if kv.TransferFallbacks == 0 {
+				t.Fatal("crashed transfer source recorded no fallback")
+			}
+			if kv.PrefixTransferTokens != 0 {
+				t.Fatalf("%d tokens transferred from a dead replica", kv.PrefixTransferTokens)
+			}
+			if got := srv.failedReqs.Load(); got != 0 {
+				t.Fatalf("%d requests failed; fallback must recompute, not drop", got)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
